@@ -2,9 +2,9 @@
 
 The typer is pretrained from fixed seeds, so every workload and every
 ``--seed`` starts from the same model; ``--seed`` only drives the workload's
-inputs (see :func:`corpus`).  The just-pretrained typer is pickled once (the *snapshot*), and every
-cold repetition unpickles a fresh copy of it, so no cache survives from one
-repetition to the next.
+inputs (see :func:`corpus`).  The just-pretrained typer is pickled once (the
+*snapshot*), and every cold repetition unpickles a fresh copy of it, so no
+cache survives from one repetition to the next.
 """
 
 from __future__ import annotations

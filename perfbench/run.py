@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -286,5 +287,15 @@ def report(correct: bool, attempted: int, failed: int, metrics: dict, units: dic
     return 0
 
 
+def stop_resource_tracker() -> None:
+    """Stop the helper process the shm transport's shared memory started, and
+    wait for it, so no process of the run outlives it."""
+    stop = getattr(getattr(resource_tracker, "_resource_tracker", None), "_stop", None)
+    if stop is not None:
+        stop()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    stop_resource_tracker()
+    sys.exit(status)
