@@ -28,12 +28,11 @@ OUTPUT_PATH = REPO_ROOT / "docs" / "BENCHMARKS.md"
 EXPERIMENTS = {
     "E10_cascade_latency": ("PR 1", "confidence-gated cascade vs exhaustive pipeline"),
     "E11_serving_throughput": ("PR 2", "execution backends sharding a corpus by table"),
-    "E12_store_persistence": ("PR 3/4", "profile store reuse across process restarts"),
     "E13_shard_transport": ("PR 5", "zero-copy shm column blocks vs pickled shards"),
     "E14_frontend_slo": ("PR 6", "HTTP front end under overload (shedding + SLO degrade)"),
     "E15_columnar_kernels": ("PR 7", "block-native vectorized profiling & featurization"),
     "E16_net_transport": ("PR 8", "column blocks over TCP to remote block workers, chaos-hardened"),
-    "E17_pool_routing": ("PR 10", "store-aware worker pool: warm routing vs blind round-robin, kill drill"),
+    "E17_pool_routing": ("PR 10", "worker pool: rendezvous vs blind round-robin routing, kill drill"),
 }
 
 
@@ -71,12 +70,6 @@ def _headline(experiment: str, data: dict) -> str:
                 f"({best['columns_per_second']:,.0f} col/s, "
                 f"{data.get('usable_cpus', '?')} usable CPU(s))"
             )
-    if experiment == "E12_store_persistence":
-        return (
-            f"restart hit rate {data['restart_hit_rate']:.0%} "
-            f"({data['restart_disk_hits']} of {data['flushed_entries']} flushed "
-            f"entries served from disk, zero recomputation)"
-        )
     if experiment == "E13_shard_transport":
         return (
             f"shm ships {data['bytes_per_shard_ratio']:,.0f}x fewer result bytes "
@@ -108,11 +101,13 @@ def _headline(experiment: str, data: dict) -> str:
         )
     if experiment == "E17_pool_routing":
         drill = data.get("kill_drill", {})
+        misses = data["worker_store_misses"]
         return (
-            f"warm-routing affinity {data['affinity_hit_rate']:.0%} (gate 90%) vs "
-            f"blind round-robin, predictions bit-identical on every leg; SIGKILL "
-            f"drill re-dispatched {drill.get('redispatches', '?')} in-flight "
-            f"requests with {drill.get('lost_requests', '?')} lost"
+            f"rendezvous worker-store misses {misses['rendezvous']} (gate: one "
+            f"process's {misses['single_process']}) vs blind round-robin "
+            f"{misses['round_robin']}, predictions bit-identical on every leg; "
+            f"SIGKILL drill re-dispatched {drill.get('redispatches', '?')} "
+            f"in-flight requests with {drill.get('lost_requests', '?')} lost"
         )
     # Future experiments: surface any scalar that looks like a pinned gate.
     gates = {

@@ -42,7 +42,6 @@ from repro.serving import (
     ExecutionBackend,
     FrontendConfig,
     MultiprocessBackend,
-    PersistentProfileStore,
     PoolSpec,
     ProfileStore,
     SerialBackend,
@@ -88,7 +87,6 @@ __all__ = [
     "SloConfig",
     "SloController",
     "ProfileStore",
-    "PersistentProfileStore",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadedBackend",

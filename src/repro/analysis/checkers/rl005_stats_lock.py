@@ -35,16 +35,15 @@ In any class whose __init__ declares a lock attribute
 instance attribute (`self.hits += 1`, `self.stats.shm_bytes += n`,
 `self.stats["frame_errors"] += 1`) must sit lexically inside
 `with self.<that lock>:` — or the whole method must carry a lock-taking
-decorator (any decorator whose name mentions "lock", e.g.
-`@_holding_store_lock`).  __init__ itself and after-fork re-init methods
+decorator (any decorator whose name mentions "lock", e.g. a
+`@_with_lock` wrapper that takes `self._lock` around the body).  __init__ itself and after-fork re-init methods
 are exempt (single-threaded by construction).
 
 Why: the PR 8 transport-stats double count came from mutation paths
 disagreeing with the stats registry about ownership.  Counters feed
 `summary()`, ServiceStats, and the CI benchmark gates — a torn increment is
 a silently wrong gate.  Helpers that are ONLY called with the lock held
-still pass trivially once wrapped (the stores use RLock precisely so
-re-entry is free); truly lock-free counters (single-threaded contexts)
+still pass trivially once wrapped (an RLock makes re-entry free); truly lock-free counters (single-threaded contexts)
 carry a suppression saying so.
 """
 
@@ -90,7 +89,7 @@ carry a suppression saying so.
     @staticmethod
     def _lock_decorated(method) -> bool:
         """True if any decorator's name mentions a lock (e.g.
-        ``@_holding_store_lock``): the wrapper takes the lock for the body."""
+        ``@_with_lock``): the wrapper takes the lock for the body."""
         for deco in method.decorator_list:
             expr = deco.func if isinstance(deco, ast.Call) else deco
             name = dotted_name(expr) or ""

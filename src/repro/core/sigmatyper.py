@@ -505,10 +505,8 @@ class SigmaTyper:
         """System-level report (pipeline steps, τ, customers, adaptations).
 
         When a shared profile store is active (see
-        :mod:`repro.serving.profile_store`), its hit/miss/persistence counters
-        — including a persistent store's cross-process ``shared_hits``, the
-        lookups served live from a sibling process's segments — are
-        included under ``profile_store`` so one call captures the full
+        :mod:`repro.serving.profile_store`), its hit/miss/eviction counters
+        are included under ``profile_store`` so one call captures the full
         serving-side state of the system.  Likewise, once any multiprocess
         run shipped shards, the process-wide per-transport accounting
         (``bytes_shipped``, ``shm_bytes``, ``pickle_fallbacks`` — see

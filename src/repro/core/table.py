@@ -32,10 +32,8 @@ __all__ = [
 #: Process-wide shared store for memoized derived column state.  ``None`` (the
 #: default) keeps every cache private to its :class:`Column` instance; a
 #: long-running service installs a
-#: :class:`~repro.serving.profile_store.ProfileStore` (or a
-#: :class:`~repro.serving.profile_store.PersistentProfileStore`, whose disk
-#: tier survives restarts) so short-lived tables with recurring content reuse
-#: warm entries.  The store only needs two methods:
+#: :class:`~repro.serving.profile_store.ProfileStore` so short-lived tables
+#: with recurring content reuse warm entries.  The store only needs two methods:
 #: ``namespace(content_hash) -> dict`` and ``invalidate(content_hash)``.
 _ACTIVE_PROFILE_STORE = None
 
@@ -151,10 +149,9 @@ class Column:
         state to short-lived :class:`Column` instances wrapping recurring
         content.  The digest is process-independent (``blake2b``, not the
         salted builtin ``hash``) and distinguishes value types (``1`` vs
-        ``"1"``) — process-independence is what allows a
-        :class:`~repro.serving.profile_store.PersistentProfileStore` to key
-        its on-disk records by this hash and serve them to a *different*
-        process after a restart.  Memoized until :meth:`invalidate_cache`.
+        ``"1"``) — process-independence is what lets the worker pool route
+        a table to the same worker from any dispatcher process.  Memoized
+        until :meth:`invalidate_cache`.
         """
         if self._content_hash is None:
             # Every field is framed with a length prefix, which makes the
@@ -184,9 +181,7 @@ class Column:
 
         Clears the column-private memo, the inferred structural type, and the
         memoized content hash, and — when a shared profile store is active —
-        drops the store's entry for the *old* hash in every tier (a persistent
-        store tombstones the on-disk record, so a stale namespace can never be
-        recovered after a restart either).  Call this after mutating
+        drops the store's entry for the *old* hash.  Call this after mutating
         ``values`` in place; the derived views are otherwise assumed
         immutable.
         """

@@ -113,13 +113,11 @@ class ColumnFeaturizer:
         vectors plus the shape/statistics code contract.
 
         Two featurizers with byte-identical embedder state produce identical
-        feature vectors, so they *should* share warm profile-store entries —
-        including entries persisted to disk by an earlier process.  That is
-        what makes a :class:`~repro.serving.profile_store.PersistentProfileStore`
-        useful across restarts: deterministic pretraining rebuilds the same
-        embedder, the token matches, and the stored feature vectors are served
-        instead of recomputed.  Featurizers with different learned state never
-        collide.  The token is recomputed if the embedder is refit in place
+        feature vectors, so they *should* share warm profile-store entries: a
+        fresh featurizer over the same embedder (or a deterministically
+        rebuilt one) matches the token, and the stored feature vectors are
+        served instead of recomputed.  Featurizers with different learned
+        state never collide.  The token is recomputed if the embedder is refit in place
         (callers should still ``clear()`` any active store after retraining,
         as its other derived entries may be stale too).
         """

@@ -21,11 +21,7 @@ serve production traffic:
 * :mod:`repro.serving.profile_store` — a bounded, content-hash-keyed LRU
   :class:`ProfileStore` that lifts the per-``Column`` memoized derived state
   (profiles, value views, feature vectors) off short-lived table objects so a
-  long-running service reuses warm entries, and
-  :class:`PersistentProfileStore`, which layers an append-only, crash-tolerant
-  disk tier underneath so warm state survives process restarts — and, via
-  per-writer sidecar index journals, lets concurrently *live* processes serve
-  each other's freshly flushed entries (fork-safe by construction:
+  long-running service reuses warm entries (fork-safe by construction:
   :func:`install_fork_handlers`);
 * :mod:`repro.serving.service` — an :class:`AnnotationService` wrapping a
   :class:`~repro.core.sigmatyper.SigmaTyper` with an asyncio request queue,
@@ -43,10 +39,10 @@ serve production traffic:
   shedding with explicit retry-after, deadline propagation, and graceful
   SIGTERM drain;
 * :mod:`repro.serving.pool` — :class:`AnnotationPool`, the multi-process
-  deployment shape: N forked worker services over one shared segment
-  directory behind a warm-routing dispatcher (:class:`WarmthIndex` content
-  affinity with a load-balance escape hatch), with worker pre-warm,
-  heartbeat supervision, and in-place restart + re-dispatch on a worker
+  deployment shape: N forked worker services, each with its own in-memory
+  store, behind a stateless dispatcher (rendezvous hashing on each table's
+  smallest column content hash, with a load-balance escape hatch), with
+  heartbeat supervision and in-place restart + re-dispatch on a worker
   death — drivable by the front end via ``pool=``;
 * :mod:`repro.serving.spec` — the typed configuration layer
   (:class:`ServingSpec` and its :class:`BackendSpec` / :class:`TransportSpec`
@@ -54,7 +50,7 @@ serve production traffic:
   round-tripping every documented spec string;
 * :mod:`repro.serving.stats` — the unified stats vocabulary:
   :func:`render_stats` composes every ``summary()`` in the layer from the
-  same canonical sections (deprecated aliases in :data:`DEPRECATED_KEYS`).
+  same canonical sections.
 
 The parity contract below has one explicit, opt-in exception: an attached
 :class:`SloController` *degrades* predictions (shallower cascade) while an
@@ -87,15 +83,8 @@ from repro.serving.frontend import (
     FrontendStats,
     TokenBucket,
 )
-from repro.serving.pool import AnnotationPool, PoolStats, WarmthIndex
-from repro.serving.profile_store import (
-    JournalEntry,
-    PersistentProfileStore,
-    ProfileStore,
-    install_fork_handlers,
-    journal_pid,
-    read_index_journal,
-)
+from repro.serving.pool import AnnotationPool, PoolStats
+from repro.serving.profile_store import ProfileStore, install_fork_handlers
 from repro.serving.spec import (
     BackendSpec,
     FrontendSpec,
@@ -104,7 +93,7 @@ from repro.serving.spec import (
     StoreSpec,
     TransportSpec,
 )
-from repro.serving.stats import DEPRECATED_KEYS, render_stats, resolve_key, shared_sections
+from repro.serving.stats import render_stats, shared_sections
 from repro.serving.net import (
     BlockWorkerServer,
     FrameError,
@@ -154,7 +143,6 @@ __all__ = [
     "PeerUnavailableError",
     "NetTimeoutError",
     "ProfileStore",
-    "PersistentProfileStore",
     "install_fork_handlers",
     "AdaptiveBatchingConfig",
     "AnnotationService",
@@ -170,20 +158,14 @@ __all__ = [
     "UnsupportedPayloadError",
     "AnnotationPool",
     "PoolStats",
-    "WarmthIndex",
-    "JournalEntry",
-    "journal_pid",
-    "read_index_journal",
     "ServingSpec",
     "BackendSpec",
     "TransportSpec",
     "StoreSpec",
     "PoolSpec",
     "FrontendSpec",
-    "DEPRECATED_KEYS",
     "render_stats",
     "shared_sections",
-    "resolve_key",
     "ServingError",
     "ConfigurationError",
     "OverloadedError",

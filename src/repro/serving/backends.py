@@ -210,10 +210,9 @@ class MultiprocessBackend(ExecutionBackend):
 
     Constructing this backend registers the profile-store at-fork handlers
     (:func:`repro.serving.profile_store.install_fork_handlers`), so workers
-    forked while a :class:`~repro.serving.profile_store.PersistentProfileStore`
-    is active inherit a *usable* store: a fresh lock (never one left held by
-    the parent's write-behind flusher), no dead flusher thread, and a
-    per-pid segment writer of their own.
+    forked while a :class:`~repro.serving.profile_store.ProfileStore` is
+    active inherit a *usable* store: a fresh lock, never one left held by a
+    parent thread that does not exist in the child.
     """
 
     name = "multiprocess"
@@ -319,9 +318,10 @@ def resolve_backend(
     ``+tcp://host:port[,host2:port2]``, see :mod:`repro.serving.transport`
     and :mod:`repro.serving.net`) — a typed
     :class:`~repro.serving.spec.BackendSpec` / :class:`~repro.serving.spec.
-    ServingSpec` (resolved through its canonical string, so the two forms
-    can never drift) — or ``None``, which resolves to *default* (falling
-    back to a fresh :class:`SerialBackend`).
+    ServingSpec`, or ``None``, which resolves to *default* (falling back to a
+    fresh :class:`SerialBackend`).  Strings are parsed by
+    :meth:`BackendSpec.parse <repro.serving.spec.BackendSpec.parse>`, the one
+    spec grammar.
     """
     if backend is None:
         return default if default is not None else SerialBackend()
@@ -329,32 +329,14 @@ def resolve_backend(
         return backend
     from repro.serving.spec import BackendSpec, ServingSpec  # local: spec is leaf-level
 
+    if isinstance(backend, str):
+        backend = BackendSpec.parse(backend)
     if isinstance(backend, ServingSpec):
         backend = backend.backend
     if isinstance(backend, BackendSpec):
-        backend = str(backend)
-    if isinstance(backend, str):
-        base_spec, _, transport_name = backend.partition("+")
-        name, _, workers = base_spec.partition(":")
-        backend_class = _BACKENDS.get(name)
-        if backend_class is None:
-            raise ConfigurationError(
-                f"unknown execution backend {backend!r}; "
-                f"expected one of {sorted(_BACKENDS)} "
-                f"(optionally 'name:workers' / 'multiprocess:workers+transport')"
-            )
-        try:
-            max_workers = int(workers) if workers else None
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid worker count in backend spec {backend!r}") from exc
-        if transport_name:
-            if backend_class is not MultiprocessBackend:
-                raise ConfigurationError(
-                    f"backend spec {backend!r} names a shard transport, but only the "
-                    "multiprocess backend ships shards across a process boundary"
-                )
-            return MultiprocessBackend(max_workers=max_workers, transport=transport_name)
-        return backend_class(max_workers=max_workers)
+        if backend.transport is not None:
+            return MultiprocessBackend(max_workers=backend.workers, transport=backend.transport)
+        return _BACKENDS[backend.name](max_workers=backend.workers)
     raise ConfigurationError(
         f"backend must be an ExecutionBackend, a spec string, or None, got {type(backend).__name__}"
     )

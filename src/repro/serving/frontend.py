@@ -210,7 +210,7 @@ class AnnotationFrontend:
     ``pool=`` swaps the single in-process service for an
     :class:`~repro.serving.pool.AnnotationPool` — the same token-bucket,
     queue-bound, deadline, and drain edge then feeds N worker processes
-    with warm routing, and the pool's stats section rides into ``/stats``
+    with rendezvous routing, and the pool's stats section rides into ``/stats``
     and :meth:`summary`.  *config* also accepts the frozen
     :class:`~repro.serving.spec.FrontendSpec` form.
 

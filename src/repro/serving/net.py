@@ -67,6 +67,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError, ServingError
 from repro.core.table import Table
+from repro.serving.spec import TransportSpec
 from repro.serving.transport import (
     _PICKLE_PROTOCOL,
     ColumnBlockCodec,
@@ -262,24 +263,6 @@ def write_frame(sock: socket.socket, msg_type: int, payload) -> int:
     return len(header) + len(payload)
 
 
-def _parse_peers(spec: str) -> list:
-    peers = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        host, sep, port = part.rpartition(":")
-        if not sep or not host:
-            raise ConfigurationError(f"peer {part!r} is not host:port")
-        try:
-            peers.append((host, int(port)))
-        except ValueError as exc:
-            raise ConfigurationError(f"peer {part!r} has a non-numeric port") from exc
-    if not peers:
-        raise ConfigurationError("no peers in tcp transport spec")
-    return peers
-
-
 # ------------------------------------------------------------------- transport
 class NetTransport(Transport):
     """Socket-backed segment shipping behind the :class:`Transport` seam.
@@ -308,22 +291,28 @@ class NetTransport(Transport):
         self._peer_counter = itertools.count()
 
     @classmethod
-    def from_spec(cls, spec: str, config: NetConfig | None = None) -> "NetTransport":
+    def from_spec(
+        cls, spec: str | TransportSpec, config: NetConfig | None = None
+    ) -> "NetTransport":
         """Build from ``"tcp"`` (peers from ``$REPRO_NET_PEERS``) or
-        ``"tcp://host:port[,host2:port2]"``."""
+        ``"tcp://host:port[,host2:port2]"``, as a string or a parsed
+        :class:`~repro.serving.spec.TransportSpec`."""
+        if isinstance(spec, str):
+            spec = TransportSpec.parse(spec)
+        if spec.name != "tcp":
+            raise ConfigurationError(f"not a tcp transport spec: {str(spec)!r}")
         if config is None:
             config = NetConfig.from_env()
-        if spec == "tcp":
+        peers = spec.peers
+        if not peers:
             raw = os.environ.get("REPRO_NET_PEERS", "")
             if not raw.strip():
                 raise ConfigurationError(
                     "transport 'tcp' needs peers: set REPRO_NET_PEERS=host:port[,host:port] "
                     "or use an explicit tcp://host:port spec"
                 )
-            return cls(_parse_peers(raw), config)
-        if spec.startswith("tcp://"):
-            return cls(_parse_peers(spec[len("tcp://"):]), config)
-        raise ConfigurationError(f"not a tcp transport spec: {spec!r}")
+            peers = TransportSpec.parse(f"tcp://{raw}").peers
+        return cls(peers, config)
 
     # ------------------------------------------------------------- parent side
     def _next_uid(self) -> str:

@@ -1,35 +1,29 @@
-"""Store-aware worker pool: N annotation processes behind one warm dispatcher.
+"""Worker pool: N annotation processes behind one stateless dispatcher.
 
 :class:`AnnotationPool` is the multi-process sibling of
 :class:`~repro.serving.service.AnnotationService` — same request surface
 (``start`` / ``annotate`` / ``shutdown`` / ``summary``), so
 :class:`~repro.serving.frontend.AnnotationFrontend` drives either one
 unchanged (its ``pool=`` mode).  Underneath, the pool forks N worker
-processes, each hosting its own :class:`AnnotationService` over a
-:class:`~repro.serving.profile_store.PersistentProfileStore` that shares one
-segment directory, and routes every request with **cache affinity**:
+processes, each hosting its own :class:`AnnotationService` over its own
+in-memory :class:`~repro.serving.profile_store.ProfileStore` (built from the
+pool's :class:`~repro.serving.spec.StoreSpec`), and routes every request
+with **content affinity**:
 
-* **Warm routing.**  A :class:`WarmthIndex` maps ``Column.content_hash()``
-  hex *prefixes* to the worker whose store last persisted (or last served)
-  them — built by tailing the PR 4 sidecar index journals through
-  :func:`~repro.serving.profile_store.read_index_journal`, plus a
-  dispatch-time overlay (a worker's in-memory LRU is warm from the moment a
-  request lands, well before its write-behind flush reaches the journal).
-  A table whose prefixes vote for a live worker goes there (an *affinity
-  hit*); a cold table is placed by rendezvous hashing, so the same content
-  always elects the same worker without any coordination.
-* **Load-balance escape hatch.**  When the warm worker's queue depth
-  exceeds ``queue_depth_bound`` the request escapes to the least-loaded
+* **Rendezvous routing.**  Each table is keyed by its smallest
+  ``Column.content_hash()`` and placed by rendezvous (highest-random-weight)
+  hashing over the live worker slots, so the same content always lands on
+  the same worker — and finds its derived state warm there — with no
+  routing state to keep or recover.
+* **Load-balance escape hatch.**  When the chosen worker's queue depth
+  reaches ``queue_depth_bound`` the request escapes to the least-loaded
   worker — affinity is a preference, not a hostage situation.
-* **Pre-warm.**  Workers load their LRU from the shared on-disk segments at
-  startup (:meth:`~repro.serving.profile_store.PersistentProfileStore.
-  prewarm`), so a restarted worker serves its first request warm.
 * **Supervision.**  A heartbeat task pings every worker and watches process
   liveness; a dead worker (crash, SIGKILL) is detected, its exit code
   collected, a replacement forked into the same slot, and every request
   that was in flight on it re-dispatched — callers never observe the death,
   and results stay bit-identical to a single-process run (derived state is
-  deterministic; the store only ever gains entries).
+  deterministic; a cold store only costs recomputation).
 
 Workers speak the SGN1 frame protocol of :mod:`repro.serving.net`
 (``MSG_POOL_*`` messages, pickled payloads) over inherited socketpairs; the
@@ -50,16 +44,14 @@ import asyncio
 import multiprocessing
 import os
 import pickle
-import shutil
 import socket
 import struct
-import tempfile
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import count
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.errors import (
@@ -78,7 +70,6 @@ from repro.serving.net import (
     MSG_POOL_RESULT,
     FrameError,
 )
-from repro.serving.profile_store import journal_pid, read_index_journal
 from repro.serving.spec import PoolSpec, ServingSpec, StoreSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.table import Table, TablePrediction
     from repro.serving.slo import SloConfig
 
-__all__ = ["AnnotationPool", "PoolStats", "WarmthIndex"]
+__all__ = ["AnnotationPool", "PoolStats"]
 
 #: Upper bound on one dispatcher<->worker frame (tables and predictions are
 #: small; this is a corruption guard, not a quota).
@@ -97,97 +88,7 @@ _MAX_POOL_MESSAGE_BYTES = 64 << 20
 _JOIN_TIMEOUT = 5.0
 
 
-# ---------------------------------------------------------------- warmth index
-class WarmthIndex:
-    """``content_hash`` prefix → worker slot, learned from two layers.
-
-    The **journal layer** tails every sidecar index journal in the shared
-    segment directory (:func:`read_index_journal`): a record appended by a
-    registered worker pid marks that worker warm for the record's key
-    prefix.  The **dispatch overlay** marks a prefix warm for a worker the
-    moment the dispatcher routes it there — the worker's in-memory LRU holds
-    the derived state immediately, long before the write-behind flush makes
-    it durable, so repeat traffic sticks from the second request on.
-
-    Journal pids map to slots through :meth:`register_pid`; historical pids
-    are retained so a dead worker's flushed warmth still attributes to the
-    slot its replacement inherits (the replacement pre-warms from the same
-    segments).  A journal whose framing is lost is retired permanently
-    (append-only streams cannot be resynced); journals from unregistered
-    pids (a sibling store outside this pool) are skipped for warmth but
-    their offsets still advance.
-    """
-
-    def __init__(self, directory: str | os.PathLike, prefix_len: int = 8) -> None:
-        self.directory = Path(directory)
-        self.prefix_len = prefix_len
-        #: prefix → slot of the worker last known warm for it.
-        self._prefix_slots: dict[str, int] = {}
-        self._pid_slots: dict[int, int] = {}
-        self._offsets: dict[Path, int] = {}
-        self._dead_journals: set[Path] = set()
-
-    def register_pid(self, pid: int, slot: int) -> None:
-        """Attribute journal ``index-<pid>-*.idx`` appends to *slot*."""
-        self._pid_slots[pid] = slot
-
-    def note_dispatch(self, slot: int, prefixes: tuple[str, ...]) -> None:
-        """Overlay: *slot* is warm for *prefixes* from this dispatch on."""
-        for prefix in prefixes:
-            self._prefix_slots[prefix] = slot
-
-    def tail(self) -> int:
-        """Ingest journal records appended since the last tail; returns count."""
-        ingested = 0
-        try:
-            paths = sorted(self.directory.glob("index-*.idx"))
-        except OSError:
-            return 0
-        for path in paths:
-            if path in self._dead_journals:
-                continue
-            slot = self._pid_slots.get(journal_pid(path) or -1)
-            try:
-                entries, new_offset = read_index_journal(path, self._offsets.get(path, 0))
-            except ValueError:
-                self._dead_journals.add(path)
-                continue
-            except OSError:
-                continue
-            self._offsets[path] = new_offset
-            if slot is None:
-                continue
-            for entry in entries:
-                prefix = entry.key[: self.prefix_len]
-                if entry.tombstone:
-                    if self._prefix_slots.get(prefix) == slot:
-                        self._prefix_slots.pop(prefix, None)
-                else:
-                    self._prefix_slots[prefix] = slot
-                ingested += 1
-        return ingested
-
-    def warmth(self, prefixes: tuple[str, ...]) -> dict[int, int]:
-        """Votes per slot: how many of *prefixes* each worker is warm for."""
-        votes: dict[int, int] = {}
-        for prefix in prefixes:
-            slot = self._prefix_slots.get(prefix)
-            if slot is not None:
-                votes[slot] = votes.get(slot, 0) + 1
-        return votes
-
-    def per_worker_counts(self) -> dict[int, int]:
-        """Warm-prefix count per slot (the per-worker warmth statistic)."""
-        counts: dict[int, int] = {}
-        for slot in self._prefix_slots.values():
-            counts[slot] = counts.get(slot, 0) + 1
-        return counts
-
-    @property
-    def warm_prefixes(self) -> int:
-        return len(self._prefix_slots)
-
-
+# -------------------------------------------------------------------- routing
 def _rendezvous_slot(key: str, slots: list[int]) -> int:
     """Highest-random-weight choice: same key → same slot, no coordination."""
     best_slot = slots[0]
@@ -214,10 +115,8 @@ class PoolStats:
     #: :class:`~repro.serving.service.ServiceStats`).
     shed_total: int = 0
     timed_out_total: int = 0
-    #: Requests routed to a worker already warm for their content prefixes.
-    affinity_hits: int = 0
-    affinity_misses: int = 0
-    #: Warm routings overridden by the load-balance hatch (queue too deep).
+    #: Rendezvous routings overridden by the load-balance hatch (queue too
+    #: deep).
     escapes: int = 0
     #: In-flight requests re-sent to a replacement after a worker died.
     redispatches: int = 0
@@ -226,15 +125,10 @@ class PoolStats:
     worker_deaths: int = 0
     #: Wall-clock seconds from dispatch to completion, summed over requests.
     request_seconds_total: float = 0.0
-    #: Per-slot snapshot (pid, liveness, queue depth, warm prefixes, last
-    #: heartbeat report) refreshed by the heartbeat loop and ``summary()``.
+    #: Per-slot snapshot (pid, liveness, queue depth, exit code, and the
+    #: worker's own service and store stats from its last heartbeat pong)
+    #: refreshed by the heartbeat loop and ``summary()``.
     per_worker: dict[int, dict] = field(default_factory=dict)
-
-    @property
-    def affinity_hit_rate(self) -> float:
-        """Fraction of routed requests that landed on a warm worker."""
-        routed = self.affinity_hits + self.affinity_misses
-        return self.affinity_hits / routed if routed else 0.0
 
     @property
     def mean_request_seconds(self) -> float:
@@ -256,9 +150,6 @@ class PoolStats:
             "rejected_total": self.rejected_total,
             "shed_total": self.shed_total,
             "timed_out_total": self.timed_out_total,
-            "affinity_hits": self.affinity_hits,
-            "affinity_misses": self.affinity_misses,
-            "affinity_hit_rate": round(self.affinity_hit_rate, 4),
             "escapes": self.escapes,
             "redispatches": self.redispatches,
             "restarts": self.restarts,
@@ -317,7 +208,6 @@ def _pool_worker_main(
     typer: "SigmaTyper",
     service_kwargs: dict,
     store_spec: StoreSpec,
-    prewarm: bool,
     close_fds: list[int],
 ) -> None:
     """Forked worker entry point: drop inherited fds, serve until EOF."""
@@ -327,7 +217,7 @@ def _pool_worker_main(
         except OSError:
             pass
     try:
-        asyncio.run(_worker_serve(child_sock, slot, typer, service_kwargs, store_spec, prewarm))
+        asyncio.run(_worker_serve(child_sock, slot, typer, service_kwargs, store_spec))
     finally:
         try:
             child_sock.close()
@@ -341,17 +231,11 @@ async def _worker_serve(
     typer: "SigmaTyper",
     service_kwargs: dict,
     store_spec: StoreSpec,
-    prewarm: bool,
 ) -> None:
     """Host one :class:`AnnotationService` behind the pool frame protocol."""
-    from repro.core.table import set_active_profile_store
-    from repro.serving.profile_store import PersistentProfileStore
     from repro.serving.service import AnnotationService
 
-    store = store_spec.build()
-    if prewarm and isinstance(store, PersistentProfileStore):
-        store.prewarm()
-    set_active_profile_store(store)
+    store = store_spec.build().activate()
     service = AnnotationService(typer, **service_kwargs)
     await service.start()
     reader, writer = await asyncio.open_connection(sock=child_sock)
@@ -392,7 +276,6 @@ async def _worker_serve(
         except OSError:
             pass
         await service.shutdown()
-        store.close()
 
 
 async def _serve_one(
@@ -426,15 +309,14 @@ async def _serve_one(
 class _PoolRequest:
     """One dispatched request and the future its caller awaits."""
 
-    __slots__ = ("id", "table", "customer_id", "deadline_at", "future", "prefixes", "enqueued_at")
+    __slots__ = ("id", "table", "customer_id", "deadline_at", "future", "enqueued_at")
 
-    def __init__(self, request_id, table, customer_id, deadline_at, future, prefixes, enqueued_at):
+    def __init__(self, request_id, table, customer_id, deadline_at, future, enqueued_at):
         self.id = request_id
         self.table = table
         self.customer_id = customer_id
         self.deadline_at = deadline_at
         self.future = future
-        self.prefixes = prefixes
         self.enqueued_at = enqueued_at
 
     def payload(self) -> dict:
@@ -467,7 +349,7 @@ class _Worker:
 
 
 class AnnotationPool:
-    """N forked :class:`AnnotationService` workers behind one warm dispatcher.
+    """N forked :class:`AnnotationService` workers behind one dispatcher.
 
     Same request surface as the service it multiplies —
     :attr:`is_running` / :meth:`start` / :meth:`annotate` / :meth:`shutdown`
@@ -487,14 +369,9 @@ class AnnotationPool:
         :class:`~repro.serving.spec.ServingSpec` or string (``"pool:4"``,
         ``"pool:4@serial"`` — the backend part becomes each worker's
         in-process execution backend).
-    directory:
-        Shared segment directory for the workers' persistent stores.  By
-        default the pool creates (and removes at shutdown) a temporary one;
-        point it at a durable path to keep warmth across pool restarts.
     store:
-        Optional :class:`~repro.serving.spec.StoreSpec` tuning the workers'
-        stores (flush cadence, LRU size...); its directory is overridden by
-        the pool's shared directory.
+        Optional :class:`~repro.serving.spec.StoreSpec` sizing each worker's
+        in-memory profile store (default: ``StoreSpec()``).
     max_batch_size / max_batch_delay / backend:
         Forwarded to each worker's :class:`AnnotationService`.
     slo:
@@ -508,7 +385,6 @@ class AnnotationPool:
         typer: "SigmaTyper",
         workers: "int | str | PoolSpec | ServingSpec" = 2,
         *,
-        directory: str | os.PathLike | None = None,
         store: StoreSpec | None = None,
         max_batch_size: int = 32,
         max_batch_delay: float = 0.005,
@@ -543,8 +419,6 @@ class AnnotationPool:
         self.pool_spec: PoolSpec = spec.pool  # type: ignore[assignment]
         self.stats = PoolStats()
         self._store_spec = store if store is not None else StoreSpec()
-        self._directory = Path(directory) if directory is not None else None
-        self._owns_directory = False
         self._service_kwargs = {
             "max_batch_size": max_batch_size,
             "max_batch_delay": max_batch_delay,
@@ -552,7 +426,6 @@ class AnnotationPool:
             "slo": slo,
         }
         self._workers: list[_Worker] = []
-        self._warmth: WarmthIndex | None = None
         self._heartbeat_task: asyncio.Task | None = None
         self._accepting = False
         self._started = False
@@ -585,27 +458,15 @@ class AnnotationPool:
         """Whether the dispatcher is up and accepting requests."""
         return self._accepting
 
-    @property
-    def directory(self) -> Path | None:
-        """The shared segment directory (set at :meth:`start` when owned)."""
-        return self._directory
-
     async def start(self) -> "AnnotationPool":
-        """Fork the workers, seed the warmth index, start supervision."""
+        """Fork the workers and start supervision."""
         if self._started:
             raise ServingError("AnnotationPool is already running")
         self._started = True
-        loop = asyncio.get_running_loop()
-        if self._directory is None:
-            path = await loop.run_in_executor(None, tempfile.mkdtemp, "", "repro-pool-")
-            self._directory = Path(path)
-            self._owns_directory = True
-        self._warmth = WarmthIndex(self._directory, prefix_len=self.pool_spec.prefix_len)
         for slot in range(self.pool_spec.workers):
             self._workers.append(await self._spawn(slot))
-        await loop.run_in_executor(None, self._warmth.tail)
         self._accepting = True
-        self._heartbeat_task = loop.create_task(self._heartbeat_loop())
+        self._heartbeat_task = asyncio.get_running_loop().create_task(self._heartbeat_loop())
         return self
 
     async def shutdown(self, drain_timeout: float | None = None) -> None:
@@ -659,10 +520,6 @@ class AnnotationPool:
                     await worker.reader_task
                 except (asyncio.CancelledError, Exception):  # noqa: BLE001
                     pass
-        if self._owns_directory and self._directory is not None:
-            await loop.run_in_executor(
-                None, lambda: shutil.rmtree(self._directory, ignore_errors=True)
-            )
 
     @staticmethod
     def _reap(worker: _Worker) -> None:
@@ -680,8 +537,8 @@ class AnnotationPool:
 
     # ----------------------------------------------------------------- spawning
     def _fork_worker(self, slot: int, sibling_fds: list[int]):
-        """Fork one worker (runs on an executor thread — the child's main
-        thread must not hold a running event loop)."""
+        """Fork one worker (runs on a short-lived plain thread, see
+        :meth:`_spawn`)."""
         parent_sock, child_sock = socket.socketpair()
         try:
             context = multiprocessing.get_context("fork")
@@ -692,8 +549,7 @@ class AnnotationPool:
                     slot,
                     self.typer,
                     self._service_kwargs,
-                    self._worker_store_spec(),
-                    self.pool_spec.prewarm,
+                    self._store_spec,
                     sibling_fds + [parent_sock.fileno()],
                 ),
                 daemon=True,
@@ -705,13 +561,6 @@ class AnnotationPool:
             raise
         child_sock.close()
         return process, parent_sock
-
-    def _worker_store_spec(self) -> StoreSpec:
-        from dataclasses import replace
-
-        return replace(
-            self._store_spec, directory=str(self._directory), share_across_processes=True
-        )
 
     def _sibling_fds(self) -> list[int]:
         """Parent-side socket fds a new child must close after fork — its
@@ -729,53 +578,62 @@ class AnnotationPool:
         return fds
 
     async def _spawn(self, slot: int) -> _Worker:
+        """Fork a worker into *slot* from a short-lived plain thread.
+
+        Not the event-loop thread: the child's main thread must not hold a
+        running loop.  Not an executor thread either: the fork child's
+        ``threading._shutdown()`` runs the ``concurrent.futures`` exit hook,
+        which joins every executor thread — including the forking one, now
+        the child's own main thread — and the child exits 1.
+        """
         loop = asyncio.get_running_loop()
-        process, parent_sock = await loop.run_in_executor(
-            None, self._fork_worker, slot, self._sibling_fds()
-        )
-        assert self._warmth is not None
-        self._warmth.register_pid(process.pid, slot)
+        forked: asyncio.Future = loop.create_future()
+        sibling_fds = self._sibling_fds()
+
+        def settle(result, error) -> None:
+            if forked.done():  # the awaiting task was cancelled
+                return
+            if error is not None:
+                forked.set_exception(error)
+            else:
+                forked.set_result(result)
+
+        def fork() -> None:
+            try:
+                outcome = (self._fork_worker(slot, sibling_fds), None)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the awaiting task
+                outcome = (None, exc)
+            loop.call_soon_threadsafe(settle, *outcome)
+
+        threading.Thread(target=fork, name=f"pool-fork-{slot}", daemon=True).start()
+        process, parent_sock = await forked
         reader, writer = await asyncio.open_connection(sock=parent_sock)
         worker = _Worker(slot, process, parent_sock, reader, writer, asyncio.Lock())
         worker.reader_task = loop.create_task(self._reader_loop(worker))
         return worker
 
     # ------------------------------------------------------------------ routing
-    def _prefixes(self, table: "Table") -> tuple[str, ...]:
-        plen = self.pool_spec.prefix_len
-        return tuple(dict.fromkeys(column.content_hash()[:plen] for column in table.columns))
-
     def _alive_workers(self) -> list[_Worker]:
         return [worker for worker in self._workers if not worker.retired]
 
-    def _route(self, prefixes: tuple[str, ...]) -> tuple[_Worker, bool]:
-        """Pick the worker for one request; returns ``(worker, warm_hit)``."""
-        assert self._warmth is not None
+    def _route(self, table: "Table") -> _Worker:
+        """Pick the worker for one request."""
         alive = self._alive_workers()
         if not alive:
             raise ServingError("AnnotationPool has no live workers")
         if self.pool_spec.routing == "round-robin":
             worker = alive[self._rr_next % len(alive)]
             self._rr_next += 1
-            return worker, self._warmth.warmth(prefixes).get(worker.slot, 0) > 0
-        votes = self._warmth.warmth(prefixes)
+            return worker
         by_slot = {worker.slot: worker for worker in alive}
-        preferred: _Worker | None = None
-        live_votes = {slot: n for slot, n in votes.items() if slot in by_slot}
-        if live_votes:
-            # Most votes wins; ties break to the lowest slot (deterministic).
-            best_slot = min(live_votes, key=lambda slot: (-live_votes[slot], slot))
-            preferred = by_slot[best_slot]
-        if preferred is None:
-            key = prefixes[0] if prefixes else ""
-            preferred = by_slot[_rendezvous_slot(key, sorted(by_slot))]
-        worker = preferred
+        key = min((column.content_hash() for column in table.columns), default="")
+        worker = by_slot[_rendezvous_slot(key, sorted(by_slot))]
         if len(worker.inflight) >= self.pool_spec.queue_depth_bound:
             least = min(alive, key=lambda w: (len(w.inflight), w.slot))
             if least is not worker:
                 worker = least
                 self.stats.escapes += 1
-        return worker, votes.get(worker.slot, 0) > 0
+        return worker
 
     # ----------------------------------------------------------------- requests
     async def annotate(
@@ -784,7 +642,7 @@ class AnnotationPool:
         customer_id: str | None = None,
         deadline: float | None = None,
     ) -> "TablePrediction":
-        """Annotate one table on a (preferably warm) worker.
+        """Annotate one table on the worker its content routes to.
 
         Identical results to ``SigmaTyper.annotate`` per request — same
         typer, same deterministic pipeline, whichever worker runs it.  The
@@ -798,18 +656,9 @@ class AnnotationPool:
             raise ConfigurationError("deadline must be non-negative")
         now = time.monotonic()
         deadline_at = now + deadline if deadline is not None else None
-        prefixes = self._prefixes(table)
-        worker, warm_hit = self._route(prefixes)
-        if warm_hit:
-            self.stats.affinity_hits += 1
-        else:
-            self.stats.affinity_misses += 1
-        assert self._warmth is not None
-        self._warmth.note_dispatch(worker.slot, prefixes)
+        worker = self._route(table)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        pending = _PoolRequest(
-            next(self._ids), table, customer_id, deadline_at, future, prefixes, now
-        )
+        pending = _PoolRequest(next(self._ids), table, customer_id, deadline_at, future, now)
         worker.inflight[pending.id] = pending
         self.stats.requests_total += 1
         await self._send(worker, MSG_POOL_REQUEST, pending.payload())
@@ -882,11 +731,8 @@ class AnnotationPool:
 
     async def _heartbeat_loop(self) -> None:
         interval = self.pool_spec.heartbeat_interval
-        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(interval)
-            assert self._warmth is not None
-            await loop.run_in_executor(None, self._warmth.tail)
             for worker in list(self._workers):
                 if worker.retired:
                     continue
@@ -939,14 +785,12 @@ class AnnotationPool:
 
     # ------------------------------------------------------------------- report
     def _refresh_per_worker(self) -> None:
-        warm_counts = self._warmth.per_worker_counts() if self._warmth is not None else {}
         snapshot: dict[int, dict] = {}
         for worker in self._workers:
             info: dict[str, object] = {
                 "pid": worker.process.pid,
                 "alive": not worker.retired,
                 "inflight": len(worker.inflight),
-                "warm_prefixes": warm_counts.get(worker.slot, 0),
                 "exitcode": worker.exitcode,
             }
             if worker.last_pong is not None:
@@ -956,10 +800,8 @@ class AnnotationPool:
         self.stats.per_worker = snapshot
 
     def summary(self) -> dict[str, object]:
-        """Pool-level report in the unified :func:`render_stats` shape.
-
-        ``pool`` is the canonical section; ``stats`` aliases it for one
-        release (see docs/SERVING.md#stats-vocabulary).
+        """Pool-level report in the unified :func:`render_stats` shape
+        (``pool`` is this component's section; docs/SERVING.md#stats-vocabulary).
         """
         from repro.serving.stats import render_stats
 
@@ -969,8 +811,6 @@ class AnnotationPool:
             "workers": self.pool_spec.workers,
             "routing": self.pool_spec.routing,
             "spec": str(self.spec),
-            "directory": str(self._directory) if self._directory is not None else None,
         }
         report.update(render_stats(pool=self))
-        report["stats"] = report["pool"]
         return report

@@ -17,10 +17,13 @@ docs/SERVING.md round-trips)::
     name      := "serial" | "threaded" | "multiprocess"
     transport := "pickle" | "shm" | "tcp" [ "://" host ":" port { "," host ":" port } ]
 
-Every ``resolve_*`` entry point and serving constructor accepts either form:
+This module is the only parser of that grammar.  Every ``resolve_*`` entry
+point and serving constructor accepts either form and parses strings here:
 :func:`repro.serving.backends.resolve_backend` takes a
 :class:`BackendSpec` (or :class:`ServingSpec`),
-:func:`repro.serving.transport.resolve_transport` a :class:`TransportSpec`,
+:func:`repro.serving.transport.resolve_transport` and
+:meth:`repro.serving.net.NetTransport.from_spec` a :class:`TransportSpec`
+(``$REPRO_NET_PEERS`` is read with the same peer grammar),
 :class:`~repro.serving.frontend.AnnotationFrontend` a :class:`FrontendSpec`,
 and :class:`~repro.serving.pool.AnnotationPool` a :class:`PoolSpec` /
 :class:`ServingSpec`.
@@ -28,7 +31,7 @@ and :class:`~repro.serving.pool.AnnotationPool` a :class:`PoolSpec` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError
@@ -104,7 +107,7 @@ class TransportSpec:
         """Build the :class:`~repro.serving.transport.Transport` this names."""
         from repro.serving.transport import resolve_transport
 
-        return resolve_transport(str(self))
+        return resolve_transport(self)
 
 
 @dataclass(frozen=True)
@@ -152,103 +155,71 @@ class BackendSpec:
         """Build the :class:`~repro.serving.backends.ExecutionBackend`."""
         from repro.serving.backends import resolve_backend
 
-        return resolve_backend(str(self))
+        return resolve_backend(self)
 
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """A profile store: in-memory LRU, or a persistent disk tier under it.
+    """An in-memory profile store: ``memory[:max_columns]``."""
 
-    ``directory=None`` builds a plain :class:`~repro.serving.profile_store.
-    ProfileStore`; a directory builds a :class:`~repro.serving.profile_store.
-    PersistentProfileStore` over it.  String forms: ``memory[:max_columns]``
-    and ``disk:<directory>[:max_columns]``.
-    """
-
-    directory: str | None = None
     max_columns: int = 4096
-    flush_interval: float = 1.0
-    segment_max_bytes: int = 32 * 1024 * 1024
-    compaction_dead_ratio: float = 0.5
-    share_across_processes: bool = True
 
     @classmethod
     def parse(cls, spec: str) -> "StoreSpec":
         kind, _, rest = spec.partition(":")
-        if kind == "memory":
-            if not rest:
-                return cls()
-            try:
-                return cls(max_columns=int(rest))
-            except ValueError as exc:
-                raise ConfigurationError(f"invalid store spec {spec!r}") from exc
-        if kind == "disk" and rest:
-            directory, _, max_text = rest.rpartition(":")
-            if directory and max_text.isdigit():
-                return cls(directory=directory, max_columns=int(max_text))
-            return cls(directory=rest)
-        raise ConfigurationError(
-            f"invalid store spec {spec!r}; expected 'memory[:max]' or 'disk:<dir>[:max]'"
-        )
+        if kind != "memory":
+            raise ConfigurationError(
+                f"invalid store spec {spec!r}; expected 'memory[:max_columns]'"
+            )
+        if not rest:
+            return cls()
+        try:
+            return cls(max_columns=int(rest))
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid store spec {spec!r}") from exc
 
     def __str__(self) -> str:
-        suffix = f":{self.max_columns}" if self.max_columns != 4096 else ""
-        if self.directory is None:
-            return f"memory{suffix}"
-        return f"disk:{self.directory}{suffix}"
+        if self.max_columns == 4096:
+            return "memory"
+        return f"memory:{self.max_columns}"
 
     def build(self) -> "ProfileStore":
-        """Build the store this spec names (persistent when on disk)."""
-        from repro.serving.profile_store import PersistentProfileStore, ProfileStore
+        """Build the :class:`~repro.serving.profile_store.ProfileStore`."""
+        from repro.serving.profile_store import ProfileStore
 
-        if self.directory is None:
-            return ProfileStore(max_columns=self.max_columns)
-        return PersistentProfileStore(
-            self.directory,
-            max_columns=self.max_columns,
-            flush_interval=self.flush_interval,
-            segment_max_bytes=self.segment_max_bytes,
-            compaction_dead_ratio=self.compaction_dead_ratio,
-            share_across_processes=self.share_across_processes,
-        )
+        return ProfileStore(max_columns=self.max_columns)
 
 
 @dataclass(frozen=True)
 class PoolSpec:
-    """A worker pool: N annotation processes behind one warm-routing dispatcher.
+    """A worker pool: N annotation processes behind one dispatcher.
 
     String form: ``pool:N`` (everything beyond the worker count is
     kwargs-only — routing knobs do not travel in spec strings).
     """
 
     workers: int = 2
-    #: ``Column.content_hash()`` hex-prefix length the warmth index keys on.
-    prefix_len: int = 8
-    #: Queue depth above which the warm worker is escaped for the least
-    #: loaded one (the load-balance hatch).
+    #: Queue depth above which the table's rendezvous worker is escaped for
+    #: the least loaded one (the load-balance hatch).
     queue_depth_bound: int = 4
-    #: Pre-load each worker's LRU from the shared segment directory at start.
-    prewarm: bool = True
     #: Seconds between liveness pings (also bounds dead-worker detection).
     heartbeat_interval: float = 0.25
-    #: ``"warm"`` (warmth/rendezvous affinity) or ``"round-robin"`` (blind
-    #: baseline — what E17 compares against).
-    routing: str = "warm"
+    #: ``"rendezvous"`` (content-hash affinity) or ``"round-robin"`` (the
+    #: blind counterfactual E17 compares against).
+    routing: str = "rendezvous"
     #: Restart a dead worker in place (and re-dispatch its in-flight work).
     restart: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError("pool workers must be at least 1")
-        if self.prefix_len < 1 or self.prefix_len > 32:
-            raise ConfigurationError("prefix_len must be in [1, 32]")
         if self.queue_depth_bound < 1:
             raise ConfigurationError("queue_depth_bound must be at least 1")
         if self.heartbeat_interval <= 0:
             raise ConfigurationError("heartbeat_interval must be positive")
-        if self.routing not in ("warm", "round-robin"):
+        if self.routing not in ("rendezvous", "round-robin"):
             raise ConfigurationError(
-                f"unknown routing {self.routing!r}; expected 'warm' or 'round-robin'"
+                f"unknown routing {self.routing!r}; expected 'rendezvous' or 'round-robin'"
             )
 
     @classmethod
@@ -299,7 +270,7 @@ class FrontendSpec:
 
 @dataclass(frozen=True)
 class ServingSpec:
-    """The composite: backend + optional pool/store/frontend sections.
+    """The composite: backend + optional pool/frontend sections.
 
     :meth:`parse` accepts every backend spec string the serving layer ever
     documented, plus the pool forms (``pool:4``, ``pool:4@multiprocess:2+shm``),
@@ -309,7 +280,6 @@ class ServingSpec:
 
     backend: BackendSpec = field(default_factory=BackendSpec)
     pool: PoolSpec | None = None
-    store: StoreSpec | None = None
     frontend: FrontendSpec | None = None
 
     @classmethod
@@ -332,9 +302,6 @@ class ServingSpec:
         if self.backend == BackendSpec():
             return str(self.pool)
         return f"{self.pool}@{self.backend}"
-
-    def with_store(self, store: StoreSpec) -> "ServingSpec":
-        return replace(self, store=store)
 
     def resolve_backend(self) -> "ExecutionBackend":
         return self.backend.resolve()

@@ -1,30 +1,20 @@
 """One stats vocabulary for the serving layer: :func:`render_stats`.
 
-Before PR 10 every report spelled shared counters its own way:
-``SigmaTyper.summary()`` nested the active store's counters under
-``profile_store``, ``ServiceStats`` mirrored the same number as a flat
-``store_shared_hits``, and the front end's ``/stats`` nested both.  One
-counter, three spellings — exactly the drift a dashboard regex breaks on.
-
-:func:`render_stats` is now the single composer: every ``summary()`` in the
-serving layer (:class:`~repro.serving.service.AnnotationService`,
+:func:`render_stats` is the single composer of serving reports: every
+``summary()`` in the serving layer
+(:class:`~repro.serving.service.AnnotationService`,
 :class:`~repro.serving.frontend.AnnotationFrontend`,
-:class:`~repro.serving.pool.AnnotationPool`) and
-``SigmaTyper.summary()`` build their shared sections through it, so the same
-counter always appears under the same section with the same key:
+:class:`~repro.serving.pool.AnnotationPool`) and ``SigmaTyper.summary()``
+build their shared sections through it, so the same counter always appears
+under the same section with the same key:
 
-* ``profile_store`` — the active store's own :meth:`stats` (canonical home
-  of ``shared_hits``, ``disk_hits``, ``prewarmed_entries``, ...);
+* ``profile_store`` — the active store's own :meth:`stats`;
 * ``shard_transport`` — :func:`repro.serving.transport.transport_stats`;
 * ``columnar_kernels`` — :func:`repro.core.colblock.kernel_stats`;
 * plus the caller's own section (``service`` / ``frontend`` / ``pool``) and
   ``slo`` when a controller is attached.
 
-The pre-PR 10 spellings remain as **deprecated aliases for one release**
-(:data:`DEPRECATED_KEYS`; see docs/SERVING.md#stats-vocabulary): the flat
-``ServiceStats`` mirrors (``store_shared_hits``, ``kernel_hits``, ...) and
-the ``summary()["stats"]`` key (now also available as ``summary()["service"]``
-/ ``summary()["pool"]``).
+See docs/SERVING.md#stats-vocabulary.
 """
 
 from __future__ import annotations
@@ -36,21 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.pool import AnnotationPool
     from repro.serving.service import AnnotationService
 
-__all__ = ["DEPRECATED_KEYS", "render_stats", "shared_sections", "resolve_key"]
-
-#: Deprecated spelling → canonical ``section.key`` path (dots traverse the
-#: :func:`render_stats` report; ``*`` matches every key of a dict section).
-#: The aliases keep emitting for one release; new consumers read the
-#: canonical paths.  Documented in docs/SERVING.md#stats-vocabulary.
-DEPRECATED_KEYS: dict[str, str] = {
-    "service.store_shared_hits": "profile_store.shared_hits",
-    "service.kernel_hits": "columnar_kernels.kernel_hits",
-    "service.kernel_fallbacks": "columnar_kernels.kernel_fallbacks",
-    "service.transport_remote_shards": "shard_transport.*.remote_shards",
-    "service.transport_fallbacks": "shard_transport.*.pickle_fallbacks+local_fallbacks",
-    "service.transport_fallback_reason": "shard_transport.*.last_fallback_reason",
-    "summary.stats": "summary.service (or summary.pool on a pool)",
-}
+__all__ = ["render_stats", "shared_sections"]
 
 
 def shared_sections() -> dict[str, object]:
@@ -104,39 +80,3 @@ def render_stats(
 
         report["timings"] = stage_timings()
     return report
-
-
-def resolve_key(report: dict, dotted: str):
-    """Read a canonical ``section.key`` path out of a report (test helper).
-
-    A ``*`` component sums the keyed value across every entry of a dict
-    section; a ``a+b`` leaf sums sibling keys.  Returns ``None`` when any
-    component is absent.
-    """
-    nodes: list = [report]
-    for part in dotted.split("."):
-        next_nodes: list = []
-        for node in nodes:
-            if not isinstance(node, dict):
-                return None
-            if part == "*":
-                next_nodes.extend(node.values())
-            elif "+" in part:
-                total = 0
-                for leaf in part.split("+"):
-                    if leaf not in node:
-                        return None
-                    total += node[leaf]
-                next_nodes.append(total)
-            else:
-                if part not in node:
-                    return None
-                next_nodes.append(node[part])
-        nodes = next_nodes
-    if not nodes:
-        return None
-    if len(nodes) == 1:
-        return nodes[0]
-    if all(isinstance(node, (int, float)) for node in nodes):
-        return sum(nodes)
-    return nodes

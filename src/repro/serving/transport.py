@@ -1165,8 +1165,9 @@ def resolve_transport(transport: "Transport | str | None") -> Transport:
     Accepts an instance (returned unchanged), a name — ``"pickle"``,
     ``"shm"`` or ``"tcp"`` (peers from ``$REPRO_NET_PEERS``) — a peer spec
     like ``"tcp://host:port[,host2:port2]"``, a typed
-    :class:`~repro.serving.spec.TransportSpec` (resolved through its
-    canonical string), or ``None`` (the pickle baseline).
+    :class:`~repro.serving.spec.TransportSpec`, or ``None`` (the pickle
+    baseline).  Strings are parsed by :meth:`TransportSpec.parse
+    <repro.serving.spec.TransportSpec.parse>`, the one spec grammar.
     """
     if transport is None:
         return PickleTransport()
@@ -1177,20 +1178,14 @@ def resolve_transport(transport: "Transport | str | None") -> Transport:
         return transport
     from repro.serving.spec import TransportSpec  # local: spec is leaf-level
 
-    if isinstance(transport, TransportSpec):
-        transport = str(transport)
     if isinstance(transport, str):
-        if transport == "tcp" or transport.startswith("tcp://"):
+        transport = TransportSpec.parse(transport)
+    if isinstance(transport, TransportSpec):
+        if transport.name == "tcp":
             from repro.serving import net  # local import: net imports this module
 
             return net.NetTransport.from_spec(transport)
-        transport_class = _TRANSPORTS.get(transport)
-        if transport_class is None:
-            raise ConfigurationError(
-                f"unknown shard transport {transport!r}; "
-                f"expected one of {sorted(_TRANSPORTS) + ['tcp', 'tcp://host:port']}"
-            )
-        return transport_class()
+        return _TRANSPORTS[transport.name]()
     raise ConfigurationError(
         f"transport must be a Transport, a name, or None, got {type(transport).__name__}"
     )

@@ -136,13 +136,12 @@ def bench_repo(tmp_path, monkeypatch):
     mod = _load_script("bench_summary")
     (tmp_path / "docs").mkdir()
     artifact = {
-        "experiment": "E12_store_persistence",
+        "experiment": "E17_pool_routing",
         "num_tables": 40,
-        "restart_hit_rate": 1.0,
-        "restart_disk_hits": 64,
-        "flushed_entries": 64,
+        "worker_store_misses": {"single_process": 11, "rendezvous": 11, "round_robin": 22},
+        "kill_drill": {"redispatches": 7, "lost_requests": 0},
     }
-    (tmp_path / "BENCH_store_persistence.json").write_text(
+    (tmp_path / "BENCH_pool_routing.json").write_text(
         json.dumps(artifact), encoding="utf-8"
     )
     monkeypatch.setattr(mod, "REPO_ROOT", tmp_path)
@@ -154,8 +153,9 @@ def test_bench_summary_writes_table(bench_repo, capsys):
     mod, root = bench_repo
     assert mod.main([]) == 0
     text = (root / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
-    assert "| `E12_store_persistence` | PR 3/4 |" in text
-    assert "restart hit rate 100%" in text
+    introduced = mod.EXPERIMENTS["E17_pool_routing"][0]
+    assert f"| `E17_pool_routing` | {introduced} |" in text
+    assert "rendezvous worker-store misses 11 (gate: one process's 11)" in text
     assert "40 tables" in text
 
 
@@ -170,10 +170,10 @@ def test_bench_summary_check_fails_when_stale(bench_repo, capsys):
     mod, root = bench_repo
     assert mod.main([]) == 0
     artifact = json.loads(
-        (root / "BENCH_store_persistence.json").read_text(encoding="utf-8")
+        (root / "BENCH_pool_routing.json").read_text(encoding="utf-8")
     )
-    artifact["restart_disk_hits"] = 63
-    (root / "BENCH_store_persistence.json").write_text(
+    artifact["worker_store_misses"]["rendezvous"] = 12
+    (root / "BENCH_pool_routing.json").write_text(
         json.dumps(artifact), encoding="utf-8"
     )
     assert mod.main(["--check"]) == 1

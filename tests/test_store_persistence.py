@@ -1,18 +1,18 @@
-"""Persistent profile-store tier: recovery, durability, and parity.
+"""Store-key tokens and adaptive batching.
 
-The disk tier's contract extends the serving layer's parity rule: a
-namespace served from disk must be the pickle round-trip of exactly what the
-cold computation produces, so a killed-and-restarted process reopening the
-same store directory serves warm state with **bit-identical predictions**.
-These tests pin that contract plus the failure modes a log-structured store
-must absorb — torn segment tails, corrupt payloads, eviction racing the
-write-behind flusher — and the bounds of the adaptive batching controller.
+Two contracts that grew up alongside the profile store:
+
+* **Cache tokens** — the featurizer's memoized feature prefix is keyed by
+  :meth:`ColumnFeaturizer.cache_token`, a digest of the embedder's learned
+  state: featurizers with identical state share stored feature vectors
+  bit-identically, and any refit changes the token.
+* **Adaptive batching** — the bounds of the per-customer AIMD controller and
+  the adaptive service's parity with direct annotation.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
@@ -20,22 +20,13 @@ from repro.core.errors import ConfigurationError
 from repro.core.table import Column, get_active_profile_store
 from repro.embedding_model import ColumnFeaturizer
 from repro.embedding_model.features import FeaturizerConfig
-from repro.serving import AdaptiveBatchingConfig, AnnotationService, PersistentProfileStore
+from repro.serving import AdaptiveBatchingConfig, AnnotationService, ProfileStore
 from repro.serving.service import _AimdController
 
 
 def _comparable(predictions):
     """Everything except wall-clock timings (bit-exact float comparison)."""
     return [(p.table_name, p.step_trace, p.columns) for p in predictions]
-
-
-def _fresh(tables):
-    """Copies with cold per-column caches, as a new request would carry."""
-    return [table.copy() for table in tables]
-
-
-def _segments(directory):
-    return sorted(directory.glob("segment-*.seg"))
 
 
 @pytest.fixture(autouse=True)
@@ -49,53 +40,22 @@ def mixed_tables(eval_corpus, fig3_table):
     return [table.copy() for table in eval_corpus] + [fig3_table.copy()]
 
 
-# ----------------------------------------------------------------- acceptance
+# ---------------------------------------------------------------- cache tokens
 class TestRestartWarmth:
-    def test_killed_and_restarted_process_serves_warm_state(
-        self, pretrained_typer, mixed_tables, tmp_path
-    ):
-        """The PR's acceptance bar: reopen the same directory after a "kill"
-        (no clean close) and serve >= 90% of lookups warm, bit-identically."""
-        baseline = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-
-        store = PersistentProfileStore(tmp_path, max_columns=4096, flush_interval=0)
-        with store.activated():
-            first_run = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-            store.flush()  # what the write-behind flusher does periodically
-        assert _comparable(first_run) == _comparable(baseline)
-        flushed_entries = store.disk_entries
-        assert flushed_entries > 0
-        # Simulate SIGKILL: the store object is abandoned without close().
-
-        restarted = PersistentProfileStore(tmp_path, max_columns=4096, flush_interval=0)
-        assert restarted.recovered_entries == flushed_entries
-        with restarted.activated():
-            second_run = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        restarted.close()
-        assert _comparable(second_run) == _comparable(baseline)
-        assert restarted.disk_hits > 0
-        assert restarted.hit_rate >= 0.9, restarted.stats()
-
-    def test_fresh_featurizer_reuses_persisted_feature_vectors(self, tmp_path):
+    def test_fresh_featurizer_reuses_stored_feature_vectors(self):
         """The memoized feature prefix must be reusable by a *different*
-        featurizer instance with the same learned state — the restart case."""
+        featurizer instance with the same learned state."""
         shared_embedder_config = FeaturizerConfig(include_table_context=False)
         first = ColumnFeaturizer(config=shared_embedder_config)
         second = ColumnFeaturizer(embedder=first.embedder, config=shared_embedder_config)
         assert first.cache_token() == second.cache_token()
 
-        column = Column("Income", ["$ 50K", "$ 60K", "$ 70K"])
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
+        store = ProfileStore()
         with store.activated():
-            expected = first.extract(column)
-            store.flush()
-        store.close()
-
-        restarted = PersistentProfileStore(tmp_path, flush_interval=0)
-        with restarted.activated():
+            expected = first.extract(Column("Income", ["$ 50K", "$ 60K", "$ 70K"]))
+            hits_before = store.hits
             served = second.extract(Column("Income", ["$ 50K", "$ 60K", "$ 70K"]))
-        restarted.close()
-        assert restarted.disk_hits > 0
+        assert store.hits > hits_before
         assert served.tobytes() == expected.tobytes()
 
     def test_distinct_embedders_never_share_tokens(self):
@@ -113,249 +73,6 @@ class TestRestartWarmth:
         featurizer.embedder.fit([["alpha", "gamma"], ["alpha", "beta"]])
         assert len(featurizer.embedder.vocabulary) == 3  # same size, new weights
         assert featurizer.cache_token() != before
-
-
-# ------------------------------------------------------------------- recovery
-class TestCorruptionTolerantRecovery:
-    def _filled_store(self, tmp_path, count=6):
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        columns = [Column(f"c{i}", [f"v{i}-{j}" for j in range(4)]) for i in range(count)]
-        with store.activated():
-            for column in columns:
-                column.value_counts()
-            store.flush()
-        store.close()
-        return columns
-
-    def test_truncated_segment_recovers_prefix(self, tmp_path):
-        self._filled_store(tmp_path)
-        (segment,) = _segments(tmp_path)
-        data = segment.read_bytes()
-        segment.write_bytes(data[:-10])  # torn tail, as a crash mid-write leaves
-
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert store.corrupt_records_skipped == 1
-        assert store.recovered_entries == 5  # everything before the torn record
-        # The store keeps working: the lost column is simply recomputed.
-        with store.activated():
-            lost = Column("c5", [f"v5-{j}" for j in range(4)])
-            assert lost.value_counts() == {f"v5-{j}": 1 for j in range(4)}
-        store.close()
-
-    def test_corrupt_payload_stops_that_segment_only(self, tmp_path):
-        self._filled_store(tmp_path, count=4)
-        (segment,) = _segments(tmp_path)
-        data = bytearray(segment.read_bytes())
-        # Flip a byte inside the *last* record's payload (crc catches it).
-        data[-3] ^= 0xFF
-        segment.write_bytes(bytes(data))
-
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert store.corrupt_records_skipped == 1
-        assert store.recovered_entries == 3
-        store.close()
-
-    def test_unreadable_magic_skips_whole_file(self, tmp_path):
-        self._filled_store(tmp_path, count=2)
-        bogus = tmp_path / "segment-99999999-1.seg"
-        bogus.write_bytes(b"not a segment at all")
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert store.recovered_entries == 2
-        assert store.corrupt_records_skipped == 1
-        store.close()
-
-    def test_clear_removes_disk_state(self, tmp_path):
-        self._filled_store(tmp_path, count=3)
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert store.recovered_entries == 3
-        store.clear()
-        assert store.disk_entries == 0
-        assert not _segments(tmp_path)
-        store.close()
-        reopened = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert reopened.recovered_entries == 0
-        reopened.close()
-
-
-# ----------------------------------------------------------------- durability
-class TestWriteBehindAndEviction:
-    def test_invalidate_cache_reaches_the_disk_tier(self, tmp_path):
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        with store.activated():
-            column = Column("city", ["Berlin", "Paris"])
-            column.value_counts()
-            stale_hash = column.content_hash()
-            store.flush()
-            assert stale_hash in store
-            column.values.append("Oslo")
-            column.invalidate_cache()
-            assert stale_hash not in store
-        assert store.tombstones == 1
-        store.flush()
-        store.close()
-        # The tombstone survives the restart: the stale entry is unrecoverable.
-        reopened = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert stale_hash not in reopened
-        reopened.close()
-
-    def test_eviction_flushes_dirty_entries_before_forgetting(self, tmp_path):
-        store = PersistentProfileStore(tmp_path, max_columns=2, flush_interval=0)
-        with store.activated():
-            columns = [Column(f"c{i}", [str(i), str(i + 1)]) for i in range(6)]
-            for column in columns:
-                column.value_counts()
-        assert store.evictions == 4
-        # Every evicted namespace went to disk, not into the void.
-        assert store.disk_entries >= 4
-        store.close()
-        reopened = PersistentProfileStore(tmp_path, max_columns=16, flush_interval=0)
-        with reopened.activated():
-            for i, column in enumerate(columns):
-                again = Column(f"c{i}", [str(i), str(i + 1)])
-                assert again.value_counts() == {str(i): 1, str(i + 1): 1}
-        assert reopened.disk_hits == 6
-        reopened.close()
-
-    def test_concurrent_fills_flushes_and_evictions(self, tmp_path):
-        """The background flusher, LRU eviction, and concurrent namespace
-        fills interleave without corrupting the log or the derived state."""
-        store = PersistentProfileStore(tmp_path, max_columns=8, flush_interval=0.002)
-        errors = []
-
-        def worker(worker_id: int) -> None:
-            try:
-                for i in range(40):
-                    column = Column(f"w{worker_id}-c{i}", [f"{worker_id}", f"{i}", "x"])
-                    column.value_counts()
-                    column.text_values()
-            except Exception as exc:  # noqa: BLE001 - surfaced to the assertion
-                errors.append(exc)
-
-        with store.activated():
-            threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            store.flush()
-        store.close()
-        assert not errors
-        # Recovery sees one intact record per distinct column (no torn log).
-        reopened = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert reopened.corrupt_records_skipped == 0
-        assert reopened.recovered_entries == 160
-        with reopened.activated():
-            probe = Column("w3-c7", ["3", "7", "x"])
-            assert probe.value_counts() == {"3": 1, "7": 1, "x": 1}
-        assert reopened.disk_hits == 1
-        reopened.close()
-
-    def test_compaction_drops_dead_bytes_and_preserves_live_state(self, tmp_path):
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        with store.activated():
-            column = Column("city", ["Berlin", "Paris"])
-            column.non_null_values()
-            store.flush()
-            # Growing the namespace re-persists it: the old record goes dead.
-            column.value_counts()
-            store.flush()
-            doomed = Column("tmp", ["x"])
-            doomed.value_counts()
-            store.flush()
-            doomed.invalidate_cache()
-        dead_before = store.dead_bytes
-        assert dead_before > 0
-        store.compact()
-        assert store.dead_bytes < dead_before
-        assert store.compactions >= 1
-        store.close()
-        reopened = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert reopened.recovered_entries == 1
-        with reopened.activated():
-            again = Column("city", ["Berlin", "Paris"])
-            assert again.value_counts() == {"Berlin": 1, "Paris": 1}
-        reopened.close()
-
-    def test_auto_compaction_triggers_on_dead_ratio(self, tmp_path):
-        store = PersistentProfileStore(
-            tmp_path, flush_interval=0, compaction_dead_ratio=0.3
-        )
-        with store.activated():
-            column = Column("n", ["1", "2", "3"])
-            # Each extra derived view makes the namespace dirty again, so each
-            # flush appends a superseding record and deadens the previous one.
-            column.non_null_values()
-            store.flush()
-            column.text_values()
-            store.flush()
-            column.value_counts()
-            store.flush()
-            column.numeric_values()
-            store.flush()
-        assert store.compactions >= 1
-        store.close()
-
-    def test_closed_store_degrades_to_memory_lru(self, tmp_path):
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        store.close()
-        with store.activated():
-            column = Column("city", ["Berlin"])
-            assert column.value_counts() == {"Berlin": 1}
-        assert store.disk_entries == 0
-        store.close()  # idempotent
-
-    def test_invalid_configuration(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            PersistentProfileStore(tmp_path, flush_interval=-1)
-        with pytest.raises(ConfigurationError):
-            PersistentProfileStore(tmp_path, segment_max_bytes=0)
-        with pytest.raises(ConfigurationError):
-            PersistentProfileStore(tmp_path, compaction_dead_ratio=0.0)
-        with pytest.raises(ConfigurationError):
-            PersistentProfileStore(tmp_path, max_columns=0)
-
-    def test_compaction_never_deletes_a_siblings_segments(self, tmp_path):
-        """Compaction may only retire segments this store knows about; a
-        concurrent writer's newer segments (e.g. a forked worker's) survive."""
-        ours = PersistentProfileStore(tmp_path, flush_interval=0)
-        with ours.activated():
-            column = Column("ours", ["a", "b"])
-            column.non_null_values()
-            ours.flush()
-            column.value_counts()  # dirty again -> superseding record -> dead bytes
-            ours.flush()
-
-        # A sibling process appends its own segment after our open.
-        sibling = PersistentProfileStore(tmp_path, flush_interval=0)
-        with sibling.activated():
-            Column("theirs", ["x", "y"]).value_counts()
-            sibling.flush()
-        sibling_segment = sibling._index[  # noqa: SLF001
-            Column("theirs", ["x", "y"]).content_hash()
-        ][0]
-
-        ours.compact()
-        assert sibling_segment.exists(), "compaction destroyed a sibling's segment"
-        ours.close()
-        sibling.close()
-        merged = PersistentProfileStore(tmp_path, flush_interval=0)
-        with merged.activated():
-            assert Column("ours", ["a", "b"]).value_counts() == {"a": 1, "b": 1}
-            assert Column("theirs", ["x", "y"]).value_counts() == {"x": 1, "y": 1}
-        assert merged.disk_hits == 2
-        merged.close()
-
-    def test_segment_rollover_splits_files(self, tmp_path):
-        store = PersistentProfileStore(tmp_path, flush_interval=0, segment_max_bytes=512)
-        with store.activated():
-            for i in range(8):
-                Column(f"c{i}", [f"value-{i}-{j}" for j in range(10)]).value_counts()
-            store.flush()
-        assert len(_segments(tmp_path)) > 1
-        store.close()
-        reopened = PersistentProfileStore(tmp_path, flush_interval=0)
-        assert reopened.recovered_entries == 8
-        reopened.close()
 
 
 # ---------------------------------------------------------- adaptive batching
