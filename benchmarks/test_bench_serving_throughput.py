@@ -2,10 +2,10 @@
 
 The deployment the paper targets is a multi-tenant service annotating
 customer tables online.  This experiment measures the serving layer built for
-that setting: ``SigmaTyper.annotate_corpus`` sharded across the ``serial``,
-``threaded``, and ``multiprocess`` execution backends at several worker
-counts, plus the shared content-hash :class:`ProfileStore` that lets
-short-lived tables reuse warm derived state.
+that setting: ``SigmaTyper.annotate_corpus`` run ``serial`` and sharded
+across the ``multiprocess`` execution backend at several worker counts, plus
+the shared content-hash :class:`ProfileStore` that lets short-lived tables
+reuse warm derived state.
 
 Two properties are pinned:
 
@@ -83,8 +83,6 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
         ("serial", 1, None),
         ("multiprocess", 2, "multiprocess:2"),
         ("multiprocess", 4, "multiprocess:4"),
-        ("threaded", 2, "threaded:2"),
-        ("threaded", 4, "threaded:4"),
     ]
 
     samples: list[list[float]] = [[] for _ in configurations]
@@ -178,9 +176,7 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
     # acceptance bar (≥ 2× on ≥ 4 workers) applies when the hardware can
     # physically deliver it; parity above is asserted unconditionally.
     best_parallel = max(
-        row["speedup_vs_serial"]
-        for row in rows
-        if row["backend"] in ("threaded", "multiprocess")
+        row["speedup_vs_serial"] for row in rows if row["backend"] == "multiprocess"
     )
     if usable_cpus >= 4:
         assert best_parallel >= 2.0, (

@@ -6,8 +6,8 @@ Run with:  python examples/serving_throughput.py
 The script pretrains a compact SigmaTyper, then walks through the three
 pieces of the serving layer a production deployment composes:
 
-1. **Execution backends** — the same ``annotate_corpus`` call sharded across
-   ``serial`` / ``threaded`` / ``multiprocess`` workers, with identical
+1. **Execution backends** — the same ``annotate_corpus`` call run
+   ``serial`` and sharded across ``multiprocess`` workers, with identical
    predictions (the multiprocess backend forks, so workers inherit the
    pretrained model without pickling it);
 2. **ProfileStore** — a bounded, content-hash-keyed cache that lets
@@ -54,7 +54,7 @@ def demo_backends(typer: SigmaTyper, tables) -> None:
     # strategies, not cache warm-up order.
     typer.annotate_corpus(fresh(tables))
     reference = None
-    for backend in ("serial", "threaded:4", "multiprocess:4"):
+    for backend in ("serial", "multiprocess:4"):
         batch = fresh(tables)
         started = time.perf_counter()
         predictions = typer.annotate_corpus(batch, backend=backend)
@@ -112,8 +112,7 @@ def main() -> None:
     asyncio.run(demo_service(typer, tables))
 
     print("Done.  Pick a backend by workload:")
-    print("  serial        — single requests, laptops, debugging")
-    print("  threaded:N    — shares in-process caches; best when numpy dominates")
+    print("  serial         — single requests, laptops, debugging")
     print("  multiprocess:N — CPU-saturating bulk jobs on multi-core machines (fork)")
 
 

@@ -48,7 +48,6 @@ from repro.serving import (
     ServingSpec,
     SloConfig,
     SloController,
-    ThreadedBackend,
 )
 
 __version__ = "1.1.0"
@@ -89,7 +88,6 @@ __all__ = [
     "ProfileStore",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "MultiprocessBackend",
     # corpora
     "TableCorpus",

@@ -12,7 +12,6 @@ background ``unknown`` class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.aggregation import Aggregator
 from repro.core.ontology import TypeOntology, build_default_ontology
@@ -48,8 +47,8 @@ class GlobalModelConfig:
     #: Number of background (unknown-class) tables when none are supplied.
     background_tables: int = 30
     #: Execution backend for the pretraining corpus featurization pass
-    #: (``None``/"serial", "threaded[:N]", or "multiprocess[:N]" — the
-    #: multiprocess shard path produces bit-identical features).
+    #: (``None``/"serial" or "multiprocess[:N]" — the multiprocess shard
+    #: path produces bit-identical features).
     featurization_backend: str | None = None
     seed: int = 7
 
@@ -154,46 +153,6 @@ class GlobalModel:
     def annotate(self, table: Table) -> TablePrediction:
         """Run the shared cascade on one table."""
         return self.pipeline.annotate(table)
-
-    def annotate_many(
-        self, tables: Sequence[Table], backend=None, columnar: bool | None = None
-    ) -> list[TablePrediction]:
-        """Run the shared cascade over a corpus of tables.
-
-        Each table still goes through the confidence-gated cascade, but every
-        step receives all of a table's pending columns at once (batched
-        featurization, one MLP forward per table) and the memoized column
-        profiles/embedding caches stay warm across the whole run.  An optional
-        execution ``backend`` ("threaded", "multiprocess", or an
-        :class:`~repro.serving.backends.ExecutionBackend`) shards the corpus
-        by table across workers with identical results; the multiprocess spec
-        may also select the zero-copy shard transport
-        (``"multiprocess:4+shm"``, see :mod:`repro.serving.transport`).
-
-        ``columnar`` opts the serial/threaded paths into the block-native
-        kernels by converting each table via :meth:`Table.to_block` first
-        (``None`` follows :func:`repro.core.colblock.kernels_enabled`).
-        Multiprocess workers already profile straight off their received
-        shard segments, so no conversion is needed there.
-        """
-        from repro.core import colblock
-
-        tables = list(tables)
-        use_columnar = columnar if columnar is not None else colblock.kernels_enabled()
-        if backend is None:
-            if use_columnar and colblock.kernels_enabled():
-                tables = [table.to_block() for table in tables]
-            return self.pipeline.annotate_many(tables)
-        from repro.serving.backends import MultiprocessBackend, resolve_backend
-
-        execution = resolve_backend(backend)
-        if (
-            use_columnar
-            and colblock.kernels_enabled()
-            and not isinstance(execution, MultiprocessBackend)
-        ):
-            tables = [table.to_block() for table in tables]
-        return execution.run(self.pipeline.annotate_many, tables)
 
     @property
     def classifier(self) -> TableEmbeddingClassifier | None:

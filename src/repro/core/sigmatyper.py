@@ -221,7 +221,6 @@ class SigmaTyper:
         tables: Iterable[Table],
         customer_id: str | None = None,
         backend: "ExecutionBackend | str | None" = None,
-        columnar: bool | None = None,
     ) -> list[TablePrediction]:
         """Bulk-annotate many tables (a :class:`TableCorpus` or any iterable).
 
@@ -233,33 +232,26 @@ class SigmaTyper:
         ``annotate_many`` and the global/local blend is vectorized per table.
 
         ``backend`` shards the corpus by table across workers — ``None`` /
-        ``"serial"`` runs in-process, ``"threaded"`` / ``"multiprocess"`` (or
-        an :class:`~repro.serving.backends.ExecutionBackend` instance, e.g.
-        ``"multiprocess:4"``) fan out; every backend returns predictions
-        identical to the serial path.  The multiprocess spec may also name a
-        shard transport — ``"multiprocess:4+shm"`` ships shards as zero-copy
-        shared-memory column blocks instead of pickle (see
-        :mod:`repro.serving.transport`), again with bit-identical results.
+        ``"serial"`` runs in-process, ``"multiprocess[:N]"`` (or an
+        :class:`~repro.serving.backends.ExecutionBackend` instance) forks
+        workers; every backend returns predictions identical to the serial
+        path.  The multiprocess spec may also name a shard transport —
+        ``"multiprocess:4+shm"`` ships shards as zero-copy shared-memory
+        column blocks instead of pickle (see :mod:`repro.serving.transport`),
+        again with bit-identical results.
 
-        ``columnar`` controls the block-native kernel path
-        (:mod:`repro.core.colblock`): ``None`` (default) enables it whenever
-        kernels are enabled process-wide, ``False`` forces the per-value
-        Python path.  For in-process backends the tables are converted via
-        :meth:`~repro.core.table.Table.to_block` so profiling and
-        featurization run vectorized; multiprocess workers already receive
-        kernel-ready views straight from the shm transport.  Predictions are
-        bit-identical either way.
+        While the block-native kernels are enabled process-wide
+        (:func:`repro.core.colblock.kernels_enabled`), in-process backends
+        convert the tables via :meth:`~repro.core.table.Table.to_block` so
+        profiling and featurization run vectorized; multiprocess workers
+        already receive kernel-ready views from the block transports.
+        Predictions are bit-identical either way.
         """
         from repro.serving.backends import MultiprocessBackend, resolve_backend
 
         tables = list(tables)
         execution = resolve_backend(backend)
-        use_columnar = columnar if columnar is not None else colblock.kernels_enabled()
-        if (
-            use_columnar
-            and colblock.kernels_enabled()
-            and not isinstance(execution, MultiprocessBackend)
-        ):
+        if colblock.kernels_enabled() and not isinstance(execution, MultiprocessBackend):
             tables = [table.to_block() for table in tables]
         if customer_id is None:
             return execution.run(self.global_model.pipeline.annotate_many, tables)

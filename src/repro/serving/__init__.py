@@ -4,9 +4,9 @@ This package turns the batch-first inference stack into something that can
 serve production traffic:
 
 * :mod:`repro.serving.backends` — an :class:`ExecutionBackend` abstraction
-  (``serial``, ``threaded``, ``multiprocess``) that shards a corpus by table
-  and fans bulk annotation (or pretraining featurization) out across workers,
-  with results guaranteed identical to the serial path;
+  (``serial``, or forked ``multiprocess`` workers) that shards a corpus by
+  table and fans bulk annotation (or pretraining featurization) out across
+  workers, with results guaranteed identical to the serial path;
 * :mod:`repro.serving.transport` — the multiprocess backend's shard
   :class:`Transport` seam: the ``pickle`` baseline, or zero-copy
   shared-memory column blocks (``"multiprocess:4+shm"``) that ship tables
@@ -46,8 +46,8 @@ serve production traffic:
   death — drivable by the front end via ``pool=``;
 * :mod:`repro.serving.spec` — the typed configuration layer
   (:class:`ServingSpec` and its :class:`BackendSpec` / :class:`TransportSpec`
-  / :class:`StoreSpec` / :class:`PoolSpec` / :class:`FrontendSpec` parts),
-  round-tripping every documented spec string;
+  / :class:`StoreSpec` / :class:`PoolSpec` parts), round-tripping every
+  documented spec string;
 * :mod:`repro.serving.stats` — the unified stats vocabulary:
   :func:`render_stats` composes every ``summary()`` in the layer from the
   same canonical sections.
@@ -72,7 +72,6 @@ from repro.serving.backends import (
     ExecutionBackend,
     MultiprocessBackend,
     SerialBackend,
-    ThreadedBackend,
     available_workers,
     resolve_backend,
     shard_items,
@@ -87,7 +86,6 @@ from repro.serving.pool import AnnotationPool, PoolStats
 from repro.serving.profile_store import ProfileStore, install_fork_handlers
 from repro.serving.spec import (
     BackendSpec,
-    FrontendSpec,
     PoolSpec,
     ServingSpec,
     StoreSpec,
@@ -122,7 +120,6 @@ from repro.serving.transport import (
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "MultiprocessBackend",
     "available_workers",
     "resolve_backend",
@@ -163,7 +160,6 @@ __all__ = [
     "TransportSpec",
     "StoreSpec",
     "PoolSpec",
-    "FrontendSpec",
     "render_stats",
     "shared_sections",
     "ServingError",

@@ -57,7 +57,6 @@ from repro.serving.service import AnnotationService
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.pool import AnnotationPool
-    from repro.serving.spec import FrontendSpec
 
 __all__ = ["AnnotationFrontend", "FrontendConfig", "FrontendStats", "TokenBucket"]
 
@@ -211,8 +210,7 @@ class AnnotationFrontend:
     :class:`~repro.serving.pool.AnnotationPool` — the same token-bucket,
     queue-bound, deadline, and drain edge then feeds N worker processes
     with rendezvous routing, and the pool's stats section rides into ``/stats``
-    and :meth:`summary`.  *config* also accepts the frozen
-    :class:`~repro.serving.spec.FrontendSpec` form.
+    and :meth:`summary`.
 
     Endpoints: ``POST /annotate`` (JSON ``{"table": <Table.to_dict()>,
     "customer_id": ..., "deadline_ms": ...}`` → ``TablePrediction.to_dict()``),
@@ -222,7 +220,7 @@ class AnnotationFrontend:
     def __init__(
         self,
         service: "AnnotationService | None" = None,
-        config: "FrontendConfig | FrontendSpec | None" = None,
+        config: "FrontendConfig | None" = None,
         *,
         pool: "AnnotationPool | None" = None,
     ) -> None:
@@ -234,8 +232,6 @@ class AnnotationFrontend:
         # (is_running/start/annotate/shutdown/stats/summary), so the whole
         # admission, deadline, and drain machinery below drives either.
         self._service = service if service is not None else pool
-        if config is not None and not isinstance(config, FrontendConfig):
-            config = config.to_config()  # a FrontendSpec
         self.config = (config or FrontendConfig()).validate()
         self.stats = FrontendStats()
         self._server: asyncio.base_events.Server | None = None

@@ -54,6 +54,7 @@ full fault-injection matrix through ``tests/faultnet.py``.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import mmap
 import os
@@ -66,14 +67,14 @@ import zlib
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError, ServingError
-from repro.core.table import Table
 from repro.serving.spec import TransportSpec
 from repro.serving.transport import (
     _PICKLE_PROTOCOL,
-    ColumnBlockCodec,
     PredictionBlockCodec,
     Transport,
-    UnsupportedPayloadError,
+    encode_result_records,
+    encode_shard_block,
+    open_block,
 )
 
 __all__ = [
@@ -95,7 +96,9 @@ __all__ = [
     "MSG_POOL_PONG",
     "FRAME_MAGIC",
     "FRAME_HEADER",
+    "pack_frame",
     "read_frame",
+    "read_frame_async",
     "write_frame",
 ]
 
@@ -126,8 +129,8 @@ MSG_RESULT_PICKLE = 3
 MSG_ERROR = 4
 #: Pool dispatcher <-> worker messages (see :mod:`repro.serving.pool`): a
 #: dispatched request, its result/error, and the heartbeat ping/pong pair.
-#: They share the SGN1 framing so :func:`read_frame`'s magic/crc/size guards
-#: cover the pool protocol too.
+#: They share the SGN1 framing, so :func:`read_frame_async` applies the same
+#: magic/type/size/crc guards to the pool protocol.
 MSG_POOL_REQUEST = 5
 MSG_POOL_RESULT = 6
 MSG_POOL_ERROR = 7
@@ -226,6 +229,32 @@ def _read_exact(sock: socket.socket, n: int, *, eof_ok: bool = False):
     return b"".join(chunks)
 
 
+def _check_header(header: bytes, max_message_bytes: int) -> tuple:
+    """``(msg_type, payload_len, crc)`` of a valid header; :class:`FrameError`
+    for a bad magic, an unknown message type or an oversized payload."""
+    magic, msg_type, length, crc = FRAME_HEADER.unpack(header)
+    if magic != FRAME_MAGIC:
+        raise FrameError(f"bad frame magic {magic!r}")
+    if msg_type not in _KNOWN_MESSAGES:
+        raise FrameError(f"unknown message type {msg_type}")
+    if length > max_message_bytes:
+        raise FrameError(f"frame of {length} bytes exceeds max_message_bytes")
+    return msg_type, length, crc
+
+
+def _check_crc(payload: bytes, crc: int) -> None:
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise FrameError("frame crc mismatch (corrupt payload)")
+
+
+def pack_frame(msg_type: int, payload) -> bytes:
+    """One complete frame: header followed by *payload*."""
+    payload = bytes(payload)
+    return FRAME_HEADER.pack(
+        FRAME_MAGIC, msg_type, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
+    ) + payload
+
+
 def read_frame(sock: socket.socket, max_message_bytes: int, *, eof_ok: bool = False):
     """Read one frame; returns ``(msg_type, payload, frame_bytes)``.
 
@@ -236,31 +265,45 @@ def read_frame(sock: socket.socket, max_message_bytes: int, *, eof_ok: bool = Fa
     header = _read_exact(sock, FRAME_HEADER.size, eof_ok=eof_ok)
     if header is None:
         return None
-    magic, msg_type, length, crc = FRAME_HEADER.unpack(header)
-    if magic != FRAME_MAGIC:
-        raise FrameError(f"bad frame magic {magic!r}")
-    if msg_type not in _KNOWN_MESSAGES:
-        raise FrameError(f"unknown message type {msg_type}")
-    if length > max_message_bytes:
-        raise FrameError(f"frame of {length} bytes exceeds max_message_bytes")
+    msg_type, length, crc = _check_header(header, max_message_bytes)
     payload = _read_exact(sock, length)
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise FrameError("frame crc mismatch (corrupt payload)")
+    _check_crc(payload, crc)
+    return msg_type, payload, FRAME_HEADER.size + length
+
+
+async def read_frame_async(
+    reader: asyncio.StreamReader, max_message_bytes: int, *, eof_ok: bool = False
+):
+    """:func:`read_frame` over an asyncio stream (no deadline of its own)."""
+    try:
+        header = await reader.readexactly(FRAME_HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial and eof_ok:
+            return None
+        raise FrameError(
+            f"connection closed mid-frame ({len(exc.partial)}/{FRAME_HEADER.size} bytes)"
+        ) from exc
+    msg_type, length, crc = _check_header(header, max_message_bytes)
+    try:
+        payload = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise FrameError(
+            f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
+        ) from exc
+    _check_crc(payload, crc)
     return msg_type, payload, FRAME_HEADER.size + length
 
 
 def write_frame(sock: socket.socket, msg_type: int, payload) -> int:
     """Write one frame; returns the bytes put on the wire."""
-    payload = bytes(payload)
-    header = FRAME_HEADER.pack(FRAME_MAGIC, msg_type, len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+    frame = pack_frame(msg_type, payload)
     try:
-        sock.sendall(header)
-        sock.sendall(payload)
+        sock.sendall(frame)
     except socket.timeout as exc:
         raise NetTimeoutError("write deadline fired") from exc
     except OSError as exc:
         raise FrameError(f"connection lost while writing: {exc}") from exc
-    return len(header) + len(payload)
+    return len(frame)
 
 
 # ------------------------------------------------------------------- transport
@@ -285,9 +328,6 @@ class NetTransport(Transport):
         if not self.peers:
             raise ConfigurationError("NetTransport needs at least one peer")
         self.config = config if config is not None else NetConfig()
-        # repro-lint: disable=RL004 uid prefix only names wire messages/segments; never reaches results
-        self._uid_prefix = f"{os.getpid()}-{os.urandom(3).hex()}"
-        self._uid_counter = itertools.count()
         self._peer_counter = itertools.count()
 
     @classmethod
@@ -315,35 +355,14 @@ class NetTransport(Transport):
         return cls(peers, config)
 
     # ------------------------------------------------------------- parent side
-    def _next_uid(self) -> str:
-        with self._lock:
-            return f"{self._uid_prefix}-{next(self._uid_counter)}"
-
     def _pick_peer(self) -> tuple:
         with self._lock:
             return self.peers[next(self._peer_counter) % len(self.peers)]
 
-    def _fallback(self, reason: str) -> None:
-        with self._lock:
-            self.stats.pickle_fallbacks += 1
-            self.stats.last_fallback_reason = reason
-
     def encode_shard(self, items: list) -> tuple:
         uid = self._next_uid()
-        with self._lock:
-            self.stats.shards += 1
-        blob = None
-        reason = ""
-        if all(isinstance(item, Table) for item in items):
-            try:
-                blob = ColumnBlockCodec.encode_tables(items)
-            except UnsupportedPayloadError as exc:
-                reason = str(exc)
-        else:
-            reason = "shard items are not tables"
-        if blob is not None and len(blob) > self.config.max_message_bytes:
-            reason = f"encoded shard ({len(blob)} bytes) exceeds max_message_bytes"
-            blob = None
+        self._count(shards=1)
+        blob, reason = encode_shard_block(items, self.config.max_message_bytes, "max_message_bytes")
         if blob is None:
             self._fallback(reason)
             payload = ("pickle", uid, pickle.dumps(items, _PICKLE_PROTOCOL))
@@ -355,18 +374,16 @@ class NetTransport(Transport):
     def decode_results(self, payload: tuple) -> list:
         self._count_shipped(payload[:2])
         kind, data, meta = payload
-        with self._lock:
-            stats = self.stats
-            stats.remote_shards += meta.get("remote", 0)
-            stats.local_fallbacks += meta.get("local_fallback", 0)
-            stats.net_bytes_out += meta.get("bytes_out", 0)
-            stats.net_bytes_in += meta.get("bytes_in", 0)
-            stats.reconnects += meta.get("reconnects", 0)
-            if meta.get("reason"):
-                stats.last_fallback_reason = meta["reason"]
-            if kind == "pickle" and meta.get("remote"):
-                # The peer ran the shard but had to pickle the reply.
-                stats.result_pickle_fallbacks += 1
+        self._count(
+            meta["reason"],
+            remote_shards=meta["remote"],
+            local_fallbacks=meta["local_fallback"],
+            net_bytes_out=meta["bytes_out"],
+            net_bytes_in=meta["bytes_in"],
+            reconnects=meta["reconnects"],
+            # The peer ran the shard but had to pickle the reply.
+            result_pickle_fallbacks=int(kind == "pickle" and meta["remote"] > 0),
+        )
         if kind == "net":
             return PredictionBlockCodec.decode_predictions(memoryview(data))
         if kind != "pickle":  # pragma: no cover - worker/parent version skew
@@ -383,16 +400,12 @@ class NetTransport(Transport):
         kind, _, data, *_rest = payload
         if kind == "pickle":
             return pickle.loads(data), lambda: None
-        block = ColumnBlockCodec.decode(memoryview(data))
-        tables = [Table.from_block(block, index) for index in range(block.num_tables)]
+        tables, block = open_block(memoryview(data))
         return tables, block.close
 
     def encode_results(self, results: list, payload: tuple) -> tuple:
-        try:
-            blob = PredictionBlockCodec.encode_predictions(results)
-        except UnsupportedPayloadError:
-            return ("pickle", pickle.dumps(results, _PICKLE_PROTOCOL))
-        if len(blob) > self.config.max_message_bytes:
+        blob = encode_result_records(results, self.config.max_message_bytes)
+        if blob is None:
             return ("pickle", pickle.dumps(results, _PICKLE_PROTOCOL))
         return ("net", bytes(blob))
 
@@ -644,19 +657,16 @@ class BlockWorkerServer:
         buf = mmap.mmap(-1, max(len(payload), 1))
         try:
             buf[: len(payload)] = payload
-            block = ColumnBlockCodec.decode(memoryview(buf)[: len(payload)])
+            tables, block = open_block(memoryview(buf)[: len(payload)])
             try:
-                tables = [Table.from_block(block, index) for index in range(block.num_tables)]
                 results = list(self.shard_fn(tables))
                 # Encode before closing the block: results may alias the
                 # view-backed tables (same contract as Transport.run_in_worker).
-                try:
-                    blob = PredictionBlockCodec.encode_predictions(results)
-                    if len(blob) > self.config.max_message_bytes:
-                        raise UnsupportedPayloadError("encoded results exceed max_message_bytes")
-                    reply = (MSG_RESULT, bytes(blob))
-                except UnsupportedPayloadError:
+                blob = encode_result_records(results, self.config.max_message_bytes)
+                if blob is None:
                     reply = (MSG_RESULT_PICKLE, pickle.dumps(results, _PICKLE_PROTOCOL))
+                else:
+                    reply = (MSG_RESULT, bytes(blob))
             finally:
                 block.close()
             with self._lock:

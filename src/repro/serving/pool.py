@@ -45,10 +45,8 @@ import multiprocessing
 import os
 import pickle
 import socket
-import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import count
@@ -61,14 +59,14 @@ from repro.core.errors import (
     ShutdownError,
 )
 from repro.serving.net import (
-    FRAME_HEADER,
-    FRAME_MAGIC,
     MSG_POOL_ERROR,
     MSG_POOL_PING,
     MSG_POOL_PONG,
     MSG_POOL_REQUEST,
     MSG_POOL_RESULT,
     FrameError,
+    pack_frame,
+    read_frame_async,
 )
 from repro.serving.spec import PoolSpec, ServingSpec, StoreSpec
 
@@ -161,43 +159,21 @@ class PoolStats:
 
 
 # -------------------------------------------------------------- frame helpers
-async def _read_frame_async(
-    reader: asyncio.StreamReader, max_message_bytes: int = _MAX_POOL_MESSAGE_BYTES
-):
-    """One SGN1 frame from a stream; ``None`` on clean EOF between frames."""
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("torn frame header") from exc
-    try:
-        magic, msg_type, length, crc = FRAME_HEADER.unpack(header)
-    except struct.error as exc:  # pragma: no cover - size is exact
-        raise FrameError("unreadable frame header") from exc
-    if magic != FRAME_MAGIC:
-        raise FrameError(f"bad frame magic {magic!r}")
-    if length > max_message_bytes:
-        raise FrameError(f"frame of {length} bytes exceeds max_message_bytes")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError("torn frame payload") from exc
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise FrameError("frame crc mismatch (corrupt payload)")
-    return msg_type, payload
+async def _read_message(reader: asyncio.StreamReader):
+    """``(msg_type, message)`` of one frame; ``None`` on clean EOF between frames."""
+    frame = await read_frame_async(reader, _MAX_POOL_MESSAGE_BYTES, eof_ok=True)
+    if frame is None:
+        return None
+    return frame[0], pickle.loads(frame[1])
 
 
 async def _write_message(
     writer: asyncio.StreamWriter, lock: asyncio.Lock, msg_type: int, message: dict
 ) -> None:
     """Frame and send one pickled message (writes serialized per stream)."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    header = FRAME_HEADER.pack(
-        FRAME_MAGIC, msg_type, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
-    )
+    frame = pack_frame(msg_type, pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
     async with lock:
-        writer.write(header + payload)
+        writer.write(frame)
         await writer.drain()
 
 
@@ -244,12 +220,12 @@ async def _worker_serve(
     try:
         while True:
             try:
-                frame = await _read_frame_async(reader)
+                frame = await _read_message(reader)
             except (FrameError, ConnectionError, OSError):
                 break
             if frame is None:
                 break
-            msg_type, payload = frame
+            msg_type, message = frame
             if msg_type == MSG_POOL_PING:
                 pong = {
                     "slot": slot,
@@ -259,9 +235,8 @@ async def _worker_serve(
                 }
                 await _write_message(writer, write_lock, MSG_POOL_PONG, pong)
             elif msg_type == MSG_POOL_REQUEST:
-                request = pickle.loads(payload)
                 task = asyncio.get_running_loop().create_task(
-                    _serve_one(service, request, writer, write_lock)
+                    _serve_one(service, message, writer, write_lock)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -695,13 +670,12 @@ class AnnotationPool:
         try:
             while True:
                 try:
-                    frame = await _read_frame_async(worker.reader)
+                    frame = await _read_message(worker.reader)
                 except (FrameError, ConnectionError, OSError):
                     break
                 if frame is None:
                     break
-                msg_type, payload = frame
-                message = pickle.loads(payload)
+                msg_type, message = frame
                 if msg_type == MSG_POOL_RESULT:
                     pending = worker.inflight.pop(message["id"], None)
                     if pending is not None and not pending.future.done():
@@ -743,7 +717,7 @@ class AnnotationPool:
             self._refresh_per_worker()
 
     async def _on_worker_exit(self, worker: _Worker) -> None:
-        """Death path: reap, optionally restart in place, re-dispatch."""
+        """Death path: reap, restart in place, re-dispatch."""
         if worker.retired:
             return
         worker.retired = True
@@ -761,12 +735,13 @@ class AnnotationPool:
         ]
         worker.inflight.clear()
         if self._draining or not self._started:
-            self._fail_all(captured)
+            for pending in captured:
+                pending.future.set_exception(
+                    ShutdownError("worker died while the pool was shutting down")
+                )
+                self.stats.errors_total += 1
             return
         self.stats.worker_deaths += 1
-        if not self.pool_spec.restart:
-            self._fail_all(captured)
-            return
         replacement = await self._spawn(worker.slot)
         self._workers[worker.slot] = replacement
         self.stats.restarts += 1
@@ -774,14 +749,6 @@ class AnnotationPool:
             replacement.inflight[pending.id] = pending
             self.stats.redispatches += 1
             await self._send(replacement, MSG_POOL_REQUEST, pending.payload())
-
-    def _fail_all(self, captured: list[_PoolRequest]) -> None:
-        for pending in captured:
-            if not pending.future.done():
-                pending.future.set_exception(
-                    ShutdownError("worker died and the pool is not restarting it")
-                )
-                self.stats.errors_total += 1
 
     # ------------------------------------------------------------------- report
     def _refresh_per_worker(self) -> None:

@@ -144,8 +144,8 @@ def install_fork_handlers() -> None:
 class ProfileStore:
     """A bounded LRU of per-column derived-state namespaces.
 
-    Thread-safe: the threaded execution backend and the async service hit one
-    shared store concurrently.  Namespace *creation and eviction* are guarded
+    Thread-safe: concurrent ``annotate_corpus`` calls from several threads
+    and the async service hit one shared store concurrently.  Namespace *creation and eviction* are guarded
     by a lock; the namespaces themselves are plain dicts filled by
     :meth:`Column._memo` — concurrent fills of the same key recompute the same
     deterministic value, so last-write-wins is harmless.  The statistics

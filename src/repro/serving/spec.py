@@ -13,8 +13,7 @@ Grammar (canonical forms; every documented spec string in
 docs/SERVING.md round-trips)::
 
     serving   := [ "pool:" N "@" ] backend | "pool:" N
-    backend   := name [ ":" workers ] [ "+" transport ]
-    name      := "serial" | "threaded" | "multiprocess"
+    backend   := "serial" | "multiprocess" [ ":" workers ] [ "+" transport ]
     transport := "pickle" | "shm" | "tcp" [ "://" host ":" port { "," host ":" port } ]
 
 This module is the only parser of that grammar.  Every ``resolve_*`` entry
@@ -23,35 +22,30 @@ point and serving constructor accepts either form and parses strings here:
 :class:`BackendSpec` (or :class:`ServingSpec`),
 :func:`repro.serving.transport.resolve_transport` and
 :meth:`repro.serving.net.NetTransport.from_spec` a :class:`TransportSpec`
-(``$REPRO_NET_PEERS`` is read with the same peer grammar),
-:class:`~repro.serving.frontend.AnnotationFrontend` a :class:`FrontendSpec`,
-and :class:`~repro.serving.pool.AnnotationPool` a :class:`PoolSpec` /
+(``$REPRO_NET_PEERS`` is read with the same peer grammar), and
+:class:`~repro.serving.pool.AnnotationPool` a :class:`PoolSpec` /
 :class:`ServingSpec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.backends import ExecutionBackend
-    from repro.serving.frontend import FrontendConfig
     from repro.serving.profile_store import ProfileStore
-    from repro.serving.transport import Transport
 
 __all__ = [
     "BackendSpec",
     "TransportSpec",
     "StoreSpec",
     "PoolSpec",
-    "FrontendSpec",
     "ServingSpec",
 ]
 
-_BACKEND_NAMES = ("serial", "threaded", "multiprocess")
+_BACKEND_NAMES = ("serial", "multiprocess")
 _TRANSPORT_NAMES = ("pickle", "shm", "tcp")
 
 
@@ -103,16 +97,10 @@ class TransportSpec:
             return "tcp://" + ",".join(f"{host}:{port}" for host, port in self.peers)
         return self.name
 
-    def resolve(self) -> "Transport":
-        """Build the :class:`~repro.serving.transport.Transport` this names."""
-        from repro.serving.transport import resolve_transport
-
-        return resolve_transport(self)
-
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """An execution backend: ``name[:workers][+transport]``."""
+    """An execution backend: ``serial`` or ``multiprocess[:workers][+transport]``."""
 
     name: str = "serial"
     workers: int | None = None
@@ -126,10 +114,10 @@ class BackendSpec:
             )
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("backend workers must be at least 1")
-        if self.transport is not None and self.name != "multiprocess":
+        if self.name == "serial" and (self.workers is not None or self.transport is not None):
             raise ConfigurationError(
-                f"backend {self.name!r} names a shard transport, but only the "
-                "multiprocess backend ships shards across a process boundary"
+                "the serial backend runs in the calling thread: it takes no "
+                "worker count and no shard transport"
             )
 
     @classmethod
@@ -150,12 +138,6 @@ class BackendSpec:
         if self.transport is not None:
             text += f"+{self.transport}"
         return text
-
-    def resolve(self) -> "ExecutionBackend":
-        """Build the :class:`~repro.serving.backends.ExecutionBackend`."""
-        from repro.serving.backends import resolve_backend
-
-        return resolve_backend(self)
 
 
 @dataclass(frozen=True)
@@ -207,8 +189,6 @@ class PoolSpec:
     #: ``"rendezvous"`` (content-hash affinity) or ``"round-robin"`` (the
     #: blind counterfactual E17 compares against).
     routing: str = "rendezvous"
-    #: Restart a dead worker in place (and re-dispatch its in-flight work).
-    restart: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -239,48 +219,17 @@ class PoolSpec:
 
 
 @dataclass(frozen=True)
-class FrontendSpec:
-    """Frozen twin of :class:`~repro.serving.frontend.FrontendConfig`.
-
-    Kwargs-only (no string form): the HTTP edge's knobs never travelled in
-    spec strings.  :meth:`to_config` builds the mutable, validated config the
-    frontend consumes; :class:`~repro.serving.frontend.AnnotationFrontend`
-    accepts either form directly.
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 0
-    tenant_rate: float | None = 50.0
-    tenant_burst: float = 20.0
-    max_pending_per_tenant: int = 64
-    max_pending_total: int = 512
-    default_deadline: float | None = 2.0
-    drain_timeout: float = 10.0
-    request_timeout: float = 30.0
-    keepalive_timeout: float = 15.0
-    max_body_bytes: int = 8 * 1024 * 1024
-
-    def to_config(self) -> "FrontendConfig":
-        from repro.serving.frontend import FrontendConfig
-
-        return FrontendConfig(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        ).validate()
-
-
-@dataclass(frozen=True)
 class ServingSpec:
-    """The composite: backend + optional pool/frontend sections.
+    """The composite: backend + optional pool section.
 
-    :meth:`parse` accepts every backend spec string the serving layer ever
-    documented, plus the pool forms (``pool:4``, ``pool:4@multiprocess:2+shm``),
-    and ``str()`` reproduces the input exactly — the round-trip contract the
-    PR 10 acceptance gate pins.
+    :meth:`parse` accepts every backend spec string docs/SERVING.md
+    documents, plus the pool forms (``pool:4``, ``pool:4@multiprocess:2+shm``),
+    and ``str()`` reproduces the input exactly (pinned by
+    ``tests/test_pool.py``).
     """
 
     backend: BackendSpec = field(default_factory=BackendSpec)
     pool: PoolSpec | None = None
-    frontend: FrontendSpec | None = None
 
     @classmethod
     def parse(cls, spec: str) -> "ServingSpec":
@@ -302,6 +251,3 @@ class ServingSpec:
         if self.backend == BackendSpec():
             return str(self.pool)
         return f"{self.pool}@{self.backend}"
-
-    def resolve_backend(self) -> "ExecutionBackend":
-        return self.backend.resolve()

@@ -48,7 +48,6 @@ import os
 import pickle
 import struct
 import threading
-import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -81,6 +80,9 @@ __all__ = [
     "ColumnBlock",
     "PredictionBlockCodec",
     "UnsupportedPayloadError",
+    "encode_shard_block",
+    "encode_result_records",
+    "open_block",
     "resolve_transport",
     "transport_stats",
     "reset_transport_stats",
@@ -746,95 +748,35 @@ class TransportStats:
         }
 
 
-#: Process-wide stats registry.  Keyed by transport *uid* (one entry per
-#: live instance), not by name: counters live on the instance's
-#: ``TransportStats`` and the aggregate reads them through here, so
-#: re-registering the same instance (``resolve_transport`` on a transport
-#: that is already in use) is idempotent instead of double counting.
-#: Aggregates of garbage-collected instances fold into ``_RETIRED_STATS``
-#: (keyed by transport name) via a ``weakref.finalize`` hook, so the
-#: process-wide totals survive the instances that produced them.
+#: Process-wide counters per transport name, summed by
+#: :meth:`Transport._count` under one lock.
 _STATS_LOCK = threading.Lock()
-_LIVE_STATS: dict = {}
-_RETIRED_STATS: dict = {}
-_UID_COUNTER = itertools.count()
+_TOTALS: dict[str, TransportStats] = {}
 
 
-def _next_transport_uid(name: str) -> str:
-    return f"{name}-{os.getpid()}-{next(_UID_COUNTER)}"
-
-
-def _fold_stats(bucket: dict, snapshot: dict) -> None:
-    for key, value in snapshot.items():
-        if isinstance(value, bool):  # pragma: no cover - no bool fields today
-            continue
-        if isinstance(value, (int, float)):
-            bucket[key] = bucket.get(key, 0) + value
-        elif value:  # last_fallback_reason: keep the most recent non-empty
-            bucket[key] = value
-        else:
-            bucket.setdefault(key, value)
-
-
-def _delta_since(stats: "TransportStats", baseline: dict | None) -> dict:
-    snapshot = stats.as_dict()
-    if baseline:
-        for key, value in baseline.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                snapshot[key] = snapshot.get(key, 0) - value
-        if snapshot.get("last_fallback_reason") == baseline.get("last_fallback_reason"):
-            snapshot["last_fallback_reason"] = ""
-    return snapshot
-
-
-def _retire_transport(uid: str) -> None:
-    with _STATS_LOCK:
-        entry = _LIVE_STATS.pop(uid, None)
-        if entry is None:
-            return
-        name, stats, baseline = entry
-        _fold_stats(_RETIRED_STATS.setdefault(name, {}), _delta_since(stats, baseline))
-
-
-def _register_transport(transport: "Transport") -> None:
-    """Idempotently enroll *transport* in the process-wide aggregate.
-
-    Keyed by ``transport.uid``: registering the same instance twice (the
-    re-resolution path) keeps its existing entry, so its counters contribute
-    exactly once to :func:`transport_stats`.
-    """
-    with _STATS_LOCK:
-        already = transport.uid in _LIVE_STATS
-        if not already:
-            _LIVE_STATS[transport.uid] = (transport.name, transport.stats, None)
-    if not already:
-        weakref.finalize(transport, _retire_transport, transport.uid)
+def _add_counts(stats: TransportStats, counts: dict, reason: str) -> None:
+    for key, value in counts.items():
+        setattr(stats, key, getattr(stats, key) + value)
+    if reason:
+        stats.last_fallback_reason = reason
 
 
 def transport_stats() -> dict:
-    """Process-wide per-transport-name counters (live + retired instances)."""
+    """Process-wide counters per transport name since the last reset."""
     with _STATS_LOCK:
-        merged: dict = {name: dict(bucket) for name, bucket in _RETIRED_STATS.items()}
-        for name, stats, baseline in _LIVE_STATS.values():
-            _fold_stats(merged.setdefault(name, {}), _delta_since(stats, baseline))
+        snapshots = {name: stats.as_dict() for name, stats in _TOTALS.items()}
     return {
-        name: bucket
-        for name, bucket in merged.items()
-        if any(isinstance(value, (int, float)) and value for value in bucket.values())
+        name: snapshot
+        for name, snapshot in snapshots.items()
+        if any(type(value) is int and value for value in snapshot.values())
     }
 
 
 def reset_transport_stats() -> None:
-    """Zero the process-wide counters (benchmarks and tests).
-
-    Live instances keep their own ``stats`` untouched; the aggregate
-    remembers a baseline snapshot per instance and reports only activity
-    after the reset.
-    """
+    """Zero the process-wide counters (benchmarks and tests); every
+    instance keeps its own ``stats``."""
     with _STATS_LOCK:
-        _RETIRED_STATS.clear()
-        for uid, (name, stats, _) in list(_LIVE_STATS.items()):
-            _LIVE_STATS[uid] = (name, stats, stats.as_dict())
+        _TOTALS.clear()
 
 
 def _unlink_segment_name(name: str) -> bool:
@@ -853,6 +795,39 @@ def _unlink_segment_name(name: str) -> bool:
     return True
 
 
+def encode_shard_block(items: list, max_bytes: int, limit: str) -> tuple:
+    """``(blob, "")`` with *items* as one column block, or ``(None, reason)``
+    when the shard must be pickled: its items are not tables, a cell type
+    is unsupported, or the block exceeds *max_bytes* (named *limit* in the
+    reason)."""
+    if not all(isinstance(item, Table) for item in items):
+        return None, "shard items are not tables"
+    try:
+        blob = ColumnBlockCodec.encode_tables(items)
+    except UnsupportedPayloadError as exc:
+        return None, str(exc)
+    if len(blob) > max_bytes:
+        return None, f"encoded shard ({len(blob)} bytes) exceeds {limit}"
+    return blob, ""
+
+
+def encode_result_records(results: list, max_bytes: int) -> bytearray | None:
+    """*results* as prediction records, or ``None`` when they must be
+    pickled (not predictions, or over *max_bytes*)."""
+    try:
+        blob = PredictionBlockCodec.encode_predictions(results)
+    except UnsupportedPayloadError:
+        return None
+    return blob if len(blob) <= max_bytes else None
+
+
+def open_block(buf) -> tuple:
+    """``(tables, block)``: zero-copy :meth:`Table.from_block` tables over
+    the column block in *buf*, and the block the caller closes once done."""
+    block = ColumnBlockCodec.decode(buf)
+    return [Table.from_block(block, index) for index in range(block.num_tables)], block
+
+
 class Transport(ABC):
     """How shard payloads and results cross the process boundary.
 
@@ -868,10 +843,9 @@ class Transport(ABC):
     def __init__(self) -> None:
         self.stats = TransportStats()
         self._lock = threading.Lock()
-        #: Stable per-instance identity; the process-wide aggregate is keyed
-        #: by it, which is what makes re-resolving an in-use transport safe.
-        self.uid = _next_transport_uid(self.name)
-        _register_transport(self)
+        # repro-lint: disable=RL004 uid prefix only names segments and wire messages; never reaches results
+        self._uid_prefix = f"{os.getpid()}-{os.urandom(3).hex()}"
+        self._uid_counter = itertools.count()
 
     # ------------------------------------------------------------- parent side
     @abstractmethod
@@ -915,6 +889,13 @@ class Transport(ABC):
             cleanup()
 
     # -------------------------------------------------------------- accounting
+    def _count(self, reason: str = "", **counts: int) -> None:
+        """Add *counts* (and a non-empty fallback *reason*) to this
+        transport's stats and to the process-wide totals for its name."""
+        with _STATS_LOCK:
+            _add_counts(self.stats, counts, reason)
+            _add_counts(_TOTALS.setdefault(self.name, TransportStats()), counts, reason)
+
     def _count_shipped(self, payload: tuple) -> None:
         # Size of the payload as the pool will pickle it, computed without
         # re-serializing the (potentially multi-megabyte) data bytes: large
@@ -928,28 +909,17 @@ class Transport(ABC):
             else:
                 descriptor.append(part)
         shipped += len(pickle.dumps(tuple(descriptor), _PICKLE_PROTOCOL))
+        self._count(bytes_shipped=shipped)
+
+    def _next_uid(self) -> str:
         with self._lock:
-            self.stats.bytes_shipped += shipped
+            return f"{self._uid_prefix}-{next(self._uid_counter)}"
+
+    def _fallback(self, reason: str) -> None:
+        self._count(reason, pickle_fallbacks=1)
 
     def describe(self) -> dict:
         return {"transport": self.name, **self.stats.as_dict()}
-
-    # Transports are shipped to spawn-context workers through the pool
-    # initializer; runtime handles (locks, counters) stay parent-side.
-    # Subclasses with their own handles extend these, not the base.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["stats"] = TransportStats()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        # A clone is a new stats-owning instance (fresh counters), never an
-        # alias of the original's registry entry.
-        self.uid = _next_transport_uid(self.name)
-        _register_transport(self)
 
 
 class PickleTransport(Transport):
@@ -964,8 +934,7 @@ class PickleTransport(Transport):
 
     def encode_shard(self, items: list) -> tuple:
         payload = ("pickle", None, pickle.dumps(items, _PICKLE_PROTOCOL))
-        with self._lock:
-            self.stats.shards += 1
+        self._count(shards=1)
         self._count_shipped(payload)
         return payload
 
@@ -1011,45 +980,12 @@ class ShmTransport(Transport):
             raise ConfigurationError("max_segment_bytes must be positive")
         #: Open shard segments owned by this (parent) process, keyed by uid.
         self._segments: dict = {}
-        # repro-lint: disable=RL004 uid prefix only names /dev/shm segments; never reaches results
-        self._uid_prefix = f"{os.getpid()}-{os.urandom(3).hex()}"
-        self._uid_counter = itertools.count()
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state.pop("_segments", None)  # open segment handles stay parent-side
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._segments = {}
 
     # ------------------------------------------------------------- parent side
-    def _next_uid(self) -> str:
-        with self._lock:
-            return f"{self._uid_prefix}-{next(self._uid_counter)}"
-
-    def _fallback(self, reason: str) -> None:
-        with self._lock:
-            self.stats.pickle_fallbacks += 1
-            self.stats.last_fallback_reason = reason
-
     def encode_shard(self, items: list) -> tuple:
         uid = self._next_uid()
-        with self._lock:
-            self.stats.shards += 1
-        blob = None
-        reason = ""
-        if all(isinstance(item, Table) for item in items):
-            try:
-                blob = ColumnBlockCodec.encode_tables(items)
-            except UnsupportedPayloadError as exc:
-                reason = str(exc)
-        else:
-            reason = "shard items are not tables"
-        if blob is not None and len(blob) > self.max_segment_bytes:
-            reason = f"encoded shard ({len(blob)} bytes) exceeds max_segment_bytes"
-            blob = None
+        self._count(shards=1)
+        blob, reason = encode_shard_block(items, self.max_segment_bytes, "max_segment_bytes")
         if blob is None:
             self._fallback(reason)
             payload = ("pickle", uid, pickle.dumps(items, _PICKLE_PROTOCOL))
@@ -1060,8 +996,7 @@ class ShmTransport(Transport):
             segment.buf[: len(blob)] = blob
             with self._lock:
                 self._segments[uid] = segment
-                self.stats.shm_bytes += len(blob)
-                self.stats.segments_created += 1
+            self._count(shm_bytes=len(blob), segments_created=1)
             payload = ("shm", uid, segment.name, len(blob))
         self._count_shipped(payload)
         return payload
@@ -1074,8 +1009,7 @@ class ShmTransport(Transport):
             # result payload means the result leg itself fell back (oversized
             # or non-prediction results; the exact reason stays worker-side —
             # last_fallback_reason is the shard leg's).
-            with self._lock:
-                self.stats.result_pickle_fallbacks += 1
+            self._count(result_pickle_fallbacks=1)
             return pickle.loads(payload[1])
         if kind != "shm":  # pragma: no cover - worker/parent version skew
             raise ServingError(f"unknown result payload kind {kind!r}")
@@ -1089,12 +1023,10 @@ class ShmTransport(Transport):
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - raced with release
                 pass
-            with self._lock:
-                # The worker created this segment, but its counters died with
-                # the fork — account for the segment where it is observed, so
-                # created/unlinked balance parent-side.
-                self.stats.segments_created += 1
-                self.stats.segments_unlinked += 1
+            # The worker created this segment, but its counters died with
+            # the fork — account for the segment where it is observed, so
+            # created/unlinked balance parent-side.
+            self._count(segments_created=1, segments_unlinked=1)
         return predictions
 
     def release(self, payload: tuple) -> None:
@@ -1107,14 +1039,11 @@ class ShmTransport(Transport):
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - raced cleanup
                 pass
-            with self._lock:
-                self.stats.segments_unlinked += 1
+            self._count(segments_unlinked=1)
         # The worker's result segment has a deterministic name, so it can be
         # reclaimed even when the worker died before reporting it back.
         if uid is not None and _unlink_segment_name(f"{RESULT_SEGMENT_PREFIX}{uid}"):
-            with self._lock:
-                self.stats.segments_created += 1
-                self.stats.segments_unlinked += 1
+            self._count(segments_created=1, segments_unlinked=1)
 
     # ------------------------------------------------------------- worker side
     def open_shard(self, payload: tuple):
@@ -1123,8 +1052,7 @@ class ShmTransport(Transport):
             return pickle.loads(rest[0]), lambda: None
         name, length = rest
         segment = shared_memory.SharedMemory(name=name)
-        block = ColumnBlockCodec.decode(segment.buf[:length])
-        tables = [Table.from_block(block, index) for index in range(block.num_tables)]
+        tables, block = open_block(segment.buf[:length])
 
         def cleanup() -> None:
             block.close()
@@ -1134,11 +1062,8 @@ class ShmTransport(Transport):
 
     def encode_results(self, results: list, payload: tuple) -> tuple:
         uid = payload[1]
-        try:
-            blob = PredictionBlockCodec.encode_predictions(results)
-        except UnsupportedPayloadError:
-            return ("pickle", pickle.dumps(results, _PICKLE_PROTOCOL))
-        if len(blob) > self.max_segment_bytes:
+        blob = encode_result_records(results, self.max_segment_bytes)
+        if blob is None:
             return ("pickle", pickle.dumps(results, _PICKLE_PROTOCOL))
         segment = shared_memory.SharedMemory(
             create=True, name=f"{RESULT_SEGMENT_PREFIX}{uid}", size=max(len(blob), 1)
@@ -1172,9 +1097,6 @@ def resolve_transport(transport: "Transport | str | None") -> Transport:
     if transport is None:
         return PickleTransport()
     if isinstance(transport, Transport):
-        # Re-resolution of an in-use instance: re-registering is idempotent
-        # by uid, so its counters stay counted exactly once process-wide.
-        _register_transport(transport)
         return transport
     from repro.serving.spec import TransportSpec  # local: spec is leaf-level
 

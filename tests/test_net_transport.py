@@ -19,6 +19,7 @@ machinery is reusable by the E16 chaos benchmark leg.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import socket
 import time
@@ -42,7 +43,9 @@ from repro.serving.net import (
     NetTimeoutError,
     NetTransport,
     PeerUnavailableError,
+    pack_frame,
     read_frame,
+    read_frame_async,
     write_frame,
 )
 from repro.serving.transport import (
@@ -269,6 +272,78 @@ class TestFraming:
         finally:
             left.close()
             right.close()
+
+
+class TestAsyncFraming:
+    """The :class:`TestFraming` cases against :func:`read_frame_async`, the
+    reader the worker pool uses: one header check and one crc check serve
+    both readers.  (It has no deadline of its own, so no deadline case.)"""
+
+    @staticmethod
+    def _read(wire: bytes, *, close: bool = True):
+        """Send *wire* down a socketpair, then read one frame from it async."""
+        left, right = socket.socketpair()
+
+        async def drive():
+            reader, writer = await asyncio.open_connection(sock=right)
+            try:
+                return await read_frame_async(reader, 1 << 20)
+            finally:
+                writer.close()
+
+        try:
+            left.sendall(wire)
+            if close:
+                left.close()
+            return asyncio.run(drive())
+        finally:
+            left.close()
+
+    def test_roundtrip(self):
+        frame = pack_frame(MSG_SHARD, b"payload")
+        msg_type, payload, nbytes = self._read(frame)
+        assert (msg_type, payload) == (MSG_SHARD, b"payload")
+        assert nbytes == len(frame) == FRAME_HEADER.size + len(b"payload")
+
+    def test_empty_payload_roundtrips(self):
+        assert self._read(pack_frame(MSG_RESULT, b""))[:2] == (MSG_RESULT, b"")
+
+    def test_bad_magic_rejected(self):
+        with pytest.raises(FrameError, match="magic"):
+            self._read(FRAME_HEADER.pack(b"NOPE", MSG_SHARD, 0, 0))
+
+    def test_unknown_message_type_rejected(self):
+        with pytest.raises(FrameError, match="message type"):
+            self._read(FRAME_HEADER.pack(FRAME_MAGIC, 42, 0, 0))
+
+    def test_oversized_frame_rejected_before_reading_payload(self):
+        # The socket stays open: the reader must reject on the header alone.
+        with pytest.raises(FrameError, match="max_message_bytes"):
+            self._read(FRAME_HEADER.pack(FRAME_MAGIC, MSG_SHARD, 1 << 30, 0), close=False)
+
+    def test_crc_mismatch_rejected(self):
+        mutated = bytearray(pack_frame(MSG_SHARD, b"payload"))
+        mutated[-1] ^= 0xFF
+        with pytest.raises(FrameError, match="crc"):
+            self._read(bytes(mutated))
+
+    def test_torn_frame_rejected(self):
+        with pytest.raises(FrameError, match="mid-frame"):
+            self._read(FRAME_HEADER.pack(FRAME_MAGIC, MSG_SHARD, 100, 0) + b"only-ten-b")
+
+    def test_clean_eof_returns_none_when_allowed(self):
+        async def drive(sock):
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                assert await read_frame_async(reader, 1 << 20, eof_ok=True) is None
+                with pytest.raises(FrameError):
+                    await read_frame_async(reader, 1 << 20)
+            finally:
+                writer.close()
+
+        left, right = socket.socketpair()
+        left.close()
+        asyncio.run(drive(right))
 
 
 # --------------------------------------------------------------------- specs

@@ -38,7 +38,7 @@ from repro.serving import (
     AnnotationPool,
     AnnotationService,
     BackendSpec,
-    FrontendSpec,
+    FrontendConfig,
     PoolSpec,
     ProfileStore,
     ServingSpec,
@@ -56,8 +56,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: keeps the round-trip gate meaningful even if the doc's phrasing changes.
 DOCUMENTED_SPECS = [
     "serial",
-    "threaded",
-    "threaded:4",
     "multiprocess",
     "multiprocess:8",
     "multiprocess:8+shm",
@@ -72,7 +70,7 @@ DOCUMENTED_SPECS = [
 #: serving doc.  Matches full tokens only, so prose words that merely start
 #: with a backend name ("serialization") never trip the gate.
 _CANONICAL_SPEC = re.compile(
-    r"^(?:pool:\d+(?:@\S+)?|(?:serial|threaded|multiprocess)(?:[:+]\S+)?)$"
+    r"^(?:pool:\d+(?:@\S+)?|(?:serial|multiprocess)(?:[:+]\S+)?)$"
 )
 
 
@@ -87,6 +85,9 @@ MALFORMED_SPECS = [
     "warp",
     "pool:4",
     "serial+shm",
+    "serial:2",
+    "threaded",
+    "threaded:4",
     "threaded:2+shm",
     "threaded:x",
     "multiprocess:0",
@@ -194,16 +195,16 @@ class TestServingSpec:
                 assert parsed == (spec_string not in MALFORMED_SPECS), spec_string
 
     def test_typed_specs_resolve_like_their_strings(self):
-        assert ServingSpec.parse("threaded:2").resolve_backend().name == "threaded"
-        assert resolve_backend(BackendSpec.parse("threaded:2")).name == "threaded"
+        assert resolve_backend(ServingSpec.parse("multiprocess:2")).max_workers == 2
+        assert resolve_backend(BackendSpec.parse("multiprocess:2")).name == "multiprocess"
         assert resolve_backend(ServingSpec.parse("serial")).name == "serial"
         assert resolve_transport(TransportSpec.parse("shm")).name == "shm"
 
-    def test_frontend_spec_builds_a_validated_config(self):
-        config = FrontendSpec(tenant_rate=None, default_deadline=None).to_config()
+    def test_frontend_config_validates(self):
+        config = FrontendConfig(tenant_rate=None, default_deadline=None).validate()
         assert config.tenant_rate is None
         with pytest.raises(ConfigurationError):
-            FrontendSpec(tenant_burst=-1.0).to_config()
+            FrontendConfig(tenant_burst=-1.0).validate()
 
     def test_service_accepts_a_typed_backend_spec(self, pretrained_typer):
         service = AnnotationService(pretrained_typer, backend=BackendSpec.parse("serial"))
@@ -312,8 +313,8 @@ class TestAnnotationPool:
     def test_spec_forms_and_rejections(self, pretrained_typer):
         pool = AnnotationPool(pretrained_typer, "pool:3")
         assert pool.pool_spec.workers == 3
-        pool = AnnotationPool(pretrained_typer, ServingSpec.parse("pool:2@threaded:2"))
-        assert str(pool.spec) == "pool:2@threaded:2"
+        pool = AnnotationPool(pretrained_typer, ServingSpec.parse("pool:2@multiprocess:2"))
+        assert str(pool.spec) == "pool:2@multiprocess:2"
         pool = AnnotationPool(pretrained_typer, PoolSpec(workers=1))
         assert pool.pool_spec.workers == 1
         with pytest.raises(ConfigurationError):
@@ -352,7 +353,7 @@ class TestFrontendPoolMode:
         async def drive():
             pool = AnnotationPool(pretrained_typer, 2)
             frontend = AnnotationFrontend(
-                pool=pool, config=FrontendSpec(tenant_rate=None, default_deadline=None)
+                pool=pool, config=FrontendConfig(tenant_rate=None, default_deadline=None)
             )
             async with frontend:
                 prediction = await frontend.submit(tables[0].copy())

@@ -11,6 +11,7 @@ changing predictions, and graceful shutdown.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro.serving import (
     MultiprocessBackend,
     ProfileStore,
     SerialBackend,
-    ThreadedBackend,
     resolve_backend,
     shard_items,
 )
@@ -84,28 +84,27 @@ class TestResolveBackend:
     def test_specs(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        threaded = resolve_backend("threaded:3")
-        assert isinstance(threaded, ThreadedBackend)
-        assert threaded.max_workers == 3
         multiprocess = resolve_backend("multiprocess:2")
         assert isinstance(multiprocess, MultiprocessBackend)
         assert multiprocess.max_workers == 2
 
     def test_instance_passthrough(self):
-        backend = ThreadedBackend(max_workers=2)
+        backend = MultiprocessBackend(max_workers=2)
         assert resolve_backend(backend) is backend
 
     def test_unknown_spec(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("distributed")
         with pytest.raises(ConfigurationError):
-            resolve_backend("threaded:many")
+            resolve_backend("multiprocess:many")
+        with pytest.raises(ConfigurationError):
+            resolve_backend("threaded:2")
+        with pytest.raises(ConfigurationError):
+            resolve_backend("serial:2")
         with pytest.raises(ConfigurationError):
             resolve_backend(42)
 
     def test_zero_workers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThreadedBackend(max_workers=0)
         with pytest.raises(ConfigurationError):
             MultiprocessBackend(max_workers=0)
         with pytest.raises(ConfigurationError):
@@ -116,18 +115,16 @@ class TestResolveBackend:
         items = list(range(23))
         expected = [2 * item for item in items]
         assert SerialBackend().map_shards(doubler, items) == expected
-        assert ThreadedBackend(max_workers=4).map_shards(doubler, items) == expected
+        assert MultiprocessBackend(max_workers=4).map_shards(doubler, items) == expected
 
 
 # -------------------------------------------------------------------- parity
 class TestBackendParity:
-    def test_threaded_and_multiprocess_match_serial(self, pretrained_typer, mixed_tables):
+    def test_multiprocess_matches_serial(self, pretrained_typer, mixed_tables):
         serial = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        threaded = pretrained_typer.annotate_corpus(_fresh(mixed_tables), backend="threaded:4")
         multiprocess = pretrained_typer.annotate_corpus(
             _fresh(mixed_tables), backend="multiprocess:4"
         )
-        assert _comparable(serial) == _comparable(threaded)
         assert _comparable(serial) == _comparable(multiprocess)
 
     def test_adapted_customer_bulk_matches_per_table(self, adapted_typer, mixed_tables):
@@ -143,13 +140,9 @@ class TestBackendParity:
 
     def test_adapted_customer_backends_match_serial(self, adapted_typer, mixed_tables):
         serial = adapted_typer.annotate_corpus(_fresh(mixed_tables), customer_id="acme")
-        threaded = adapted_typer.annotate_corpus(
-            _fresh(mixed_tables), customer_id="acme", backend="threaded:2"
-        )
         multiprocess = adapted_typer.annotate_corpus(
             _fresh(mixed_tables), customer_id="acme", backend="multiprocess:2"
         )
-        assert _comparable(serial) == _comparable(threaded)
         assert _comparable(serial) == _comparable(multiprocess)
 
     def test_vectorized_blend_matches_combine_with_global(self, adapted_typer, mixed_tables):
@@ -192,11 +185,9 @@ class TestBackendParity:
         featurizer = trained_classifier.featurizer
         rows = [(column, table) for table in eval_corpus for column in table.columns]
         serial = featurizer.extract_many(rows)
-        threaded = np.vstack(ThreadedBackend(max_workers=3).map_shards(featurizer.extract_many, rows))
         multiprocess = np.vstack(
             MultiprocessBackend(max_workers=2).map_shards(featurizer.extract_many, rows)
         )
-        assert serial.tobytes() == threaded.tobytes()
         assert serial.tobytes() == multiprocess.tobytes()
 
 
@@ -280,14 +271,26 @@ class TestProfileStore:
         assert store.hit_rate > 0.5
         assert get_active_profile_store() is None
 
-    def test_store_with_threaded_backend(self, pretrained_typer, mixed_tables):
+    def test_store_with_concurrent_callers(self, pretrained_typer, mixed_tables):
+        """Plain threads calling ``annotate_corpus`` at once share one active
+        store (same content, same namespaces) without moving a prediction."""
         baseline = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
         store = ProfileStore(max_columns=512)
+        results: list = [None] * 4
+
+        def call(index: int) -> None:
+            results[index] = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
+
         with store.activated():
-            threaded = pretrained_typer.annotate_corpus(
-                _fresh(mixed_tables), backend="threaded:4"
-            )
-        assert _comparable(baseline) == _comparable(threaded)
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        for predictions in results:
+            assert _comparable(baseline) == _comparable(predictions)
+        assert store.hits > 0
 
     def test_activate_and_deactivate(self):
         store = ProfileStore()
