@@ -3,14 +3,12 @@
 The deployment the paper targets is a multi-tenant service annotating
 customer tables online.  This experiment measures the serving layer built for
 that setting: ``SigmaTyper.annotate_corpus`` run ``serial`` and sharded
-across the ``multiprocess`` execution backend at several worker counts, plus
-the shared content-hash :class:`ProfileStore` that lets short-lived tables
-reuse warm derived state.
+across the ``multiprocess`` execution backend at several worker counts.
 
 Two properties are pinned:
 
-* **parity** — every backend (and the store-backed cache) returns predictions
-  bit-identical to the serial path;
+* **parity** — every backend returns predictions bit-identical to the serial
+  path;
 * **throughput** — with enough usable CPUs (≥ 4), the best parallel backend
   beats the serial path by at least 2×.  The speedup assertion scales down on
   constrained machines (a single-core container cannot speed up CPU-bound
@@ -37,7 +35,7 @@ import pytest
 
 from repro.corpus import GitTablesConfig, GitTablesGenerator
 from repro.evaluation import format_table
-from repro.serving import ProfileStore, available_workers
+from repro.serving import available_workers
 
 #: Machine-readable E11 results, committed at the repo root alongside the E10
 #: artifact so the serving-throughput trajectory stays comparable across PRs.
@@ -102,7 +100,6 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
                     f"{backend_name}:{workers} diverged from the serial path"
                 )
 
-    serial_seconds = statistics.median(samples[0])
     rows = []
     for (backend_name, workers, _), seconds in zip(configurations, samples):
         median = statistics.median(seconds)
@@ -117,24 +114,6 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
                 "speedup_vs_serial": round(statistics.median(speedups), 2),
             }
         )
-
-    # The shared profile store: a second wave of short-lived tables with
-    # recurring content reuses warm derived state instead of recomputing it.
-    store = ProfileStore(max_columns=8192)
-    with store.activated():
-        sigmatyper.annotate_corpus(_fresh(tables))
-        started = time.perf_counter()
-        warm_predictions = sigmatyper.annotate_corpus(_fresh(tables))
-        warm_elapsed = time.perf_counter() - started
-    assert _comparable(warm_predictions) == reference, "profile store changed predictions"
-    store_row = {
-        "backend": "serial + warm ProfileStore",
-        "workers": 1,
-        "seconds_total": round(warm_elapsed, 3),
-        "columns_per_second": round(num_columns / warm_elapsed, 1),
-        "speedup_vs_serial": round(serial_seconds / warm_elapsed, 2),
-    }
-    rows.append(store_row)
 
     usable_cpus = available_workers()
     record_result(
@@ -156,7 +135,6 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
                 "num_columns": num_columns,
                 "rounds": ROUNDS,
                 "configurations": rows,
-                "profile_store": store.stats(),
             },
             indent=2,
         )
@@ -168,9 +146,6 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
     # one warm bulk call over a small slice.
     warm_slice = tables[:5]
     benchmark(sigmatyper.annotate_corpus, warm_slice)
-
-    # The warm store must actually be reused for the second wave.
-    assert store.hits > 0 and store.hit_rate > 0.4
 
     # Throughput: scaled to the machine's actual parallelism budget.  The
     # acceptance bar (≥ 2× on ≥ 4 workers) applies when the hardware can

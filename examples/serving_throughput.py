@@ -1,19 +1,15 @@
-"""Serving walkthrough: execution backends, the profile store, and the
-async annotation service.
+"""Serving walkthrough: execution backends and the async annotation service.
 
 Run with:  python examples/serving_throughput.py
 
-The script pretrains a compact SigmaTyper, then walks through the three
+The script pretrains a compact SigmaTyper, then walks through the two
 pieces of the serving layer a production deployment composes:
 
 1. **Execution backends** — the same ``annotate_corpus`` call run
    ``serial`` and sharded across ``multiprocess`` workers, with identical
    predictions (the multiprocess backend forks, so workers inherit the
    pretrained model without pickling it);
-2. **ProfileStore** — a bounded, content-hash-keyed cache that lets
-   short-lived tables with recurring content reuse warm derived state
-   (profiles, value views, feature vectors) across requests;
-3. **AnnotationService** — an asyncio facade that micro-batches concurrent
+2. **AnnotationService** — an asyncio facade that micro-batches concurrent
    requests per customer, so online traffic rides the bulk path without any
    cross-tenant leakage.
 """
@@ -23,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro import AnnotationService, ProfileStore, SigmaTyper, SigmaTyperConfig
+from repro import AnnotationService, SigmaTyper, SigmaTyperConfig
 from repro.adaptation import GlobalModelConfig
 from repro.corpus import GitTablesConfig, GitTablesGenerator
 from repro.nn import MLPConfig
@@ -68,19 +64,6 @@ def demo_backends(typer: SigmaTyper, tables) -> None:
     print("  all backends returned identical predictions\n")
 
 
-def demo_profile_store(typer: SigmaTyper, tables) -> None:
-    print("-- shared profile store " + "-" * 34)
-    store = ProfileStore(max_columns=4096)
-    with store.activated():
-        for wave in ("cold", "warm"):
-            batch = fresh(tables)  # short-lived tables, recurring content
-            started = time.perf_counter()
-            typer.annotate_corpus(batch)
-            elapsed = time.perf_counter() - started
-            print(f"  {wave} wave: {elapsed:.2f}s  store={store.stats()}")
-    print("  sizing rule of thumb: max_columns ~ distinct columns between repeats\n")
-
-
 async def demo_service(typer: SigmaTyper, tables) -> None:
     print("-- async annotation service " + "-" * 30)
     typer.register_customer("acme")
@@ -108,7 +91,6 @@ def main() -> None:
     print(f"Serving corpus: {len(tables)} tables\n")
 
     demo_backends(typer, tables)
-    demo_profile_store(typer, tables)
     asyncio.run(demo_service(typer, tables))
 
     print("Done.  Pick a backend by workload:")

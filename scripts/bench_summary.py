@@ -32,7 +32,7 @@ EXPERIMENTS = {
     "E14_frontend_slo": ("PR 6", "HTTP front end under overload (shedding + SLO degrade)"),
     "E15_columnar_kernels": ("PR 7", "block-native vectorized profiling & featurization"),
     "E16_net_transport": ("PR 8", "column blocks over TCP to remote block workers, chaos-hardened"),
-    "E17_pool_routing": ("PR 10", "worker pool: rendezvous vs blind round-robin routing, kill drill"),
+    "E17_pool_routing": ("PR 10", "worker pool: rendezvous routing affinity, kill drill"),
 }
 
 
@@ -101,13 +101,13 @@ def _headline(experiment: str, data: dict) -> str:
         )
     if experiment == "E17_pool_routing":
         drill = data.get("kill_drill", {})
-        misses = data["worker_store_misses"]
+        requests = data["requests_per_worker"]
         return (
-            f"rendezvous worker-store misses {misses['rendezvous']} (gate: one "
-            f"process's {misses['single_process']}) vs blind round-robin "
-            f"{misses['round_robin']}, predictions bit-identical on every leg; "
-            f"SIGKILL drill re-dispatched {drill.get('redispatches', '?')} "
-            f"in-flight requests with {drill.get('lost_requests', '?')} lost"
+            f"per-worker requests {requests['observed']} (gate: rendezvous "
+            f"prediction {requests['predicted']}) with {data.get('escapes', '?')} "
+            f"escapes, predictions bit-identical on every leg; SIGKILL drill "
+            f"re-dispatched {drill.get('redispatches', '?')} in-flight requests "
+            f"with {drill.get('lost_requests', '?')} lost"
         )
     # Future experiments: surface any scalar that looks like a pinned gate.
     gates = {

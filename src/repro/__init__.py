@@ -35,7 +35,6 @@ from repro.corpus.collection import TableCorpus
 from repro.corpus.gittables import GitTablesConfig, GitTablesGenerator
 from repro.corpus.webtables import WebTablesConfig, WebTablesGenerator
 from repro.serving import (
-    AdaptiveBatchingConfig,
     AnnotationFrontend,
     AnnotationPool,
     AnnotationService,
@@ -43,7 +42,6 @@ from repro.serving import (
     FrontendConfig,
     MultiprocessBackend,
     PoolSpec,
-    ProfileStore,
     SerialBackend,
     ServingSpec,
     SloConfig,
@@ -77,7 +75,6 @@ __all__ = [
     "SigmaTyperConfig",
     # serving
     "AnnotationService",
-    "AdaptiveBatchingConfig",
     "AnnotationFrontend",
     "AnnotationPool",
     "PoolSpec",
@@ -85,7 +82,6 @@ __all__ = [
     "FrontendConfig",
     "SloConfig",
     "SloController",
-    "ProfileStore",
     "ExecutionBackend",
     "SerialBackend",
     "MultiprocessBackend",

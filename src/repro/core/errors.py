@@ -61,7 +61,7 @@ class SerializationError(ReproError):
 
 
 class ServingError(ReproError):
-    """Raised by the serving layer (backends, profile store, async service)."""
+    """Raised by the serving layer (backends, transports, async service, pool)."""
 
 
 class DeadlineExceededError(ServingError):

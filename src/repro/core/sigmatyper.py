@@ -181,7 +181,7 @@ class SigmaTyper:
         """Override the cascade confidence threshold c on every pipeline.
 
         Unlike structural pipeline changes this needs no cache invalidation:
-        every cache in the system (profile store entries, feature vectors,
+        every cache in the system (per-column memos, feature vectors,
         embedder phrases) is keyed by column content and model state, while c
         only gates *which steps run* for a column.  Lowering c makes the
         cascade shallower (faster, the E10 trade-off); it is the control
@@ -496,14 +496,10 @@ class SigmaTyper:
     def summary(self) -> dict[str, object]:
         """System-level report (pipeline steps, τ, customers, adaptations).
 
-        When a shared profile store is active (see
-        :mod:`repro.serving.profile_store`), its hit/miss/eviction counters
-        are included under ``profile_store`` so one call captures the full
-        serving-side state of the system.  Likewise, once any multiprocess
-        run shipped shards, the process-wide per-transport accounting
-        (``bytes_shipped``, ``shm_bytes``, ``pickle_fallbacks`` — see
-        :mod:`repro.serving.transport`) is included under
-        ``shard_transport``.
+        Once any multiprocess run shipped shards, the process-wide
+        per-transport accounting (``bytes_shipped``, ``shm_bytes``,
+        ``pickle_fallbacks`` — see :mod:`repro.serving.transport`) is
+        included under ``shard_transport``.
 
         Two always-present operator keys round out the report:
         ``columnar_kernels`` (block-native kernel hit/fallback counters —
@@ -512,10 +508,10 @@ class SigmaTyper:
         lookup — :func:`repro.core.timings.stage_timings`), so E10/E15 can
         attribute speedups instead of reporting one opaque col/s number.
         """
-        # The shared sections (profile_store / shard_transport /
-        # columnar_kernels / timings) come from the serving layer's unified
-        # stats vocabulary, so this report and every serving summary() spell
-        # the same counters identically (docs/SERVING.md#stats-vocabulary).
+        # The shared sections (shard_transport / columnar_kernels / timings)
+        # come from the serving layer's unified stats vocabulary, so this
+        # report and every serving summary() spell the same counters
+        # identically (docs/SERVING.md#stats-vocabulary).
         from repro.serving.stats import render_stats
 
         report: dict[str, object] = {

@@ -22,33 +22,7 @@ from repro.core import colblock
 from repro.core.datatypes import DataType, coerce_numeric, infer_column_type, is_null
 from repro.core.errors import ColumnNotFoundError, TableError
 
-__all__ = [
-    "Column",
-    "Table",
-    "get_active_profile_store",
-    "set_active_profile_store",
-]
-
-#: Process-wide shared store for memoized derived column state.  ``None`` (the
-#: default) keeps every cache private to its :class:`Column` instance; a
-#: long-running service installs a
-#: :class:`~repro.serving.profile_store.ProfileStore` so short-lived tables
-#: with recurring content reuse warm entries.  The store only needs two methods:
-#: ``namespace(content_hash) -> dict`` and ``invalidate(content_hash)``.
-_ACTIVE_PROFILE_STORE = None
-
-
-def set_active_profile_store(store):
-    """Install *store* as the shared derived-state store; returns the previous one."""
-    global _ACTIVE_PROFILE_STORE
-    previous = _ACTIVE_PROFILE_STORE
-    _ACTIVE_PROFILE_STORE = store
-    return previous
-
-
-def get_active_profile_store():
-    """The currently installed shared profile store (``None`` when unset)."""
-    return _ACTIVE_PROFILE_STORE
+__all__ = ["Column", "Table"]
 
 
 @dataclass
@@ -80,8 +54,6 @@ class Column:
     #: Memoized derived state (value views, samples, profiles).  Keyed by a
     #: descriptive tuple; cleared as one unit by :meth:`invalidate_cache`.
     #: The cached lists are shared with callers and must not be mutated.
-    #: When a shared profile store is active, the namespace lives there
-    #: (keyed by :meth:`content_hash`) instead of on the column.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _content_hash: str | None = field(default=None, init=False, repr=False, compare=False)
     #: Columnar kernel view over the block layout (``repro.core.colblock``).
@@ -145,9 +117,7 @@ class Column:
         """A stable digest of the column's identity (header plus raw values).
 
         Two columns with the same name and cell-for-cell equal values share
-        the hash, which is what lets a shared profile store hand warm derived
-        state to short-lived :class:`Column` instances wrapping recurring
-        content.  The digest is process-independent (``blake2b``, not the
+        the hash.  The digest is process-independent (``blake2b``, not the
         salted builtin ``hash``) and distinguishes value types (``1`` vs
         ``"1"``) — process-independence is what lets the worker pool route
         a table to the same worker from any dispatcher process.  Memoized
@@ -180,38 +150,22 @@ class Column:
         """Drop cached derived state after the values were mutated.
 
         Clears the column-private memo, the inferred structural type, and the
-        memoized content hash, and — when a shared profile store is active —
-        drops the store's entry for the *old* hash.  Call this after mutating
-        ``values`` in place; the derived views are otherwise assumed
-        immutable.
+        memoized content hash.  Call this after mutating ``values`` in place;
+        the derived views are otherwise assumed immutable.
         """
         self._data_type = None
         self._derived.clear()
         self._block_view = None
         self._view_checked = False
-        store = _ACTIVE_PROFILE_STORE
-        if store is not None and self._content_hash is not None:
-            store.invalidate(self._content_hash)
         self._content_hash = None
-
-    def _namespace(self) -> dict:
-        """The dict holding this column's memoized derived state.
-
-        Private per column by default; served by the active profile store
-        (shared across all columns with equal content) when one is installed.
-        """
-        store = _ACTIVE_PROFILE_STORE
-        if store is None:
-            return self._derived
-        return store.namespace(self.content_hash())
 
     def _memo(self, key: object, compute: Callable[[], object]) -> object:
         """Return the cached value for *key*, computing it on first access."""
-        namespace = self._namespace()
+        derived = self._derived
         try:
-            return namespace[key]
+            return derived[key]
         except KeyError:
-            value = namespace[key] = compute()
+            value = derived[key] = compute()
             return value
 
     def non_null_values(self) -> list[object]:

@@ -101,9 +101,8 @@ class ColumnFeaturizer:
         #: tables, so shape matching mostly becomes a dictionary lookup.
         self._shape_mask_cache: dict[str, np.ndarray] = {}
         #: Lazily computed digest namespacing this featurizer's memoized
-        #: per-column feature vectors inside the column's derived-state cache
-        #: (and therefore inside a shared profile store).  See
-        #: :meth:`cache_token`.
+        #: per-column feature vectors inside the column's derived-state cache.
+        #: See :meth:`cache_token`.
         self._cache_token: str | None = None
         self._cache_token_fingerprint: tuple | None = None
 
@@ -113,13 +112,12 @@ class ColumnFeaturizer:
         vectors plus the shape/statistics code contract.
 
         Two featurizers with byte-identical embedder state produce identical
-        feature vectors, so they *should* share warm profile-store entries: a
+        feature vectors, so they *should* share a column's memoized entry: a
         fresh featurizer over the same embedder (or a deterministically
-        rebuilt one) matches the token, and the stored feature vectors are
+        rebuilt one) matches the token, and the memoized feature vector is
         served instead of recomputed.  Featurizers with different learned
-        state never collide.  The token is recomputed if the embedder is refit in place
-        (callers should still ``clear()`` any active store after retraining,
-        as its other derived entries may be stale too).
+        state never collide.  The token is recomputed if the embedder is
+        refit in place.
         """
         embedder = self.embedder
         fingerprint = (
@@ -180,9 +178,8 @@ class ColumnFeaturizer:
 
         The column-local blocks (everything except table context) are a pure
         function of the column's content and this featurizer's configuration,
-        so they are memoized on the column — and shared across short-lived
-        column instances when a profile store is active.  Only the cheap
-        context block depends on the surrounding table.
+        so they are memoized on the column.  Only the cheap context block
+        depends on the surrounding table.
         """
         with stage("featurize"):
             blocks = [self._column_features(column)]

@@ -1,4 +1,4 @@
-"""Serving layer: execution backends, shared profile store, async facade.
+"""Serving layer: execution backends, shard transports, async facade, pool.
 
 This package turns the batch-first inference stack into something that can
 serve production traffic:
@@ -18,16 +18,10 @@ serve production traffic:
   with per-connection deadlines, bounded reconnect backoff, and per-shard
   local fallback on any network failure; :class:`BlockWorkerServer` is the
   remote peer, running the columnar kernels over received buffers;
-* :mod:`repro.serving.profile_store` — a bounded, content-hash-keyed LRU
-  :class:`ProfileStore` that lifts the per-``Column`` memoized derived state
-  (profiles, value views, feature vectors) off short-lived table objects so a
-  long-running service reuses warm entries (fork-safe by construction:
-  :func:`install_fork_handlers`);
 * :mod:`repro.serving.service` — an :class:`AnnotationService` wrapping a
   :class:`~repro.core.sigmatyper.SigmaTyper` with an asyncio request queue,
-  per-customer routing, micro-batching (fixed, or adaptive via
-  :class:`AdaptiveBatchingConfig`), per-request deadlines, and graceful
-  (optionally bounded) shutdown;
+  per-customer routing, micro-batching (one fixed window and size cap),
+  per-request deadlines, and graceful (optionally bounded) shutdown;
 * :mod:`repro.serving.slo` — an :class:`SloController` that treats the
   cascade confidence threshold c as a control variable, stepping it down
   when the observed tail latency breaches its budget (shallower, faster
@@ -39,15 +33,14 @@ serve production traffic:
   shedding with explicit retry-after, deadline propagation, and graceful
   SIGTERM drain;
 * :mod:`repro.serving.pool` — :class:`AnnotationPool`, the multi-process
-  deployment shape: N forked worker services, each with its own in-memory
-  store, behind a stateless dispatcher (rendezvous hashing on each table's
-  smallest column content hash, with a load-balance escape hatch), with
-  heartbeat supervision and in-place restart + re-dispatch on a worker
-  death — drivable by the front end via ``pool=``;
+  deployment shape: N forked worker services behind a stateless dispatcher
+  (rendezvous hashing on each table's smallest column content hash, with a
+  load-balance escape hatch), with heartbeat supervision and in-place
+  restart + re-dispatch on a worker death — drivable by the front end via
+  ``pool=``;
 * :mod:`repro.serving.spec` — the typed configuration layer
   (:class:`ServingSpec` and its :class:`BackendSpec` / :class:`TransportSpec`
-  / :class:`StoreSpec` / :class:`PoolSpec` parts), round-tripping every
-  documented spec string;
+  / :class:`PoolSpec` parts), round-tripping every documented spec string;
 * :mod:`repro.serving.stats` — the unified stats vocabulary:
   :func:`render_stats` composes every ``summary()`` in the layer from the
   same canonical sections.
@@ -56,8 +49,8 @@ The parity contract below has one explicit, opt-in exception: an attached
 :class:`SloController` *degrades* predictions (shallower cascade) while an
 overload lasts, and journals every window in which it did.
 
-The package-wide contract is **parity**: every backend, cache tier, and
-batching mode returns predictions bit-identical to the plain serial path
+The package-wide contract is **parity**: every backend, transport, and
+pool returns predictions bit-identical to the plain serial path
 (see ``docs/ARCHITECTURE.md``).
 """
 
@@ -83,12 +76,10 @@ from repro.serving.frontend import (
     TokenBucket,
 )
 from repro.serving.pool import AnnotationPool, PoolStats
-from repro.serving.profile_store import ProfileStore, install_fork_handlers
 from repro.serving.spec import (
     BackendSpec,
     PoolSpec,
     ServingSpec,
-    StoreSpec,
     TransportSpec,
 )
 from repro.serving.stats import render_stats, shared_sections
@@ -101,7 +92,7 @@ from repro.serving.net import (
     NetTransport,
     PeerUnavailableError,
 )
-from repro.serving.service import AdaptiveBatchingConfig, AnnotationService, ServiceStats
+from repro.serving.service import AnnotationService, ServiceStats
 from repro.serving.slo import SloConfig, SloController
 from repro.serving.transport import (
     ColumnBlock,
@@ -139,9 +130,6 @@ __all__ = [
     "FrameError",
     "PeerUnavailableError",
     "NetTimeoutError",
-    "ProfileStore",
-    "install_fork_handlers",
-    "AdaptiveBatchingConfig",
     "AnnotationService",
     "ServiceStats",
     "SloConfig",
@@ -158,7 +146,6 @@ __all__ = [
     "ServingSpec",
     "BackendSpec",
     "TransportSpec",
-    "StoreSpec",
     "PoolSpec",
     "render_stats",
     "shared_sections",

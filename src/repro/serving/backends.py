@@ -1,14 +1,14 @@
 """Execution backends: shard bulk work across worker processes.
 
 Bulk annotation (and pretraining featurization) is embarrassingly parallel at
-the table level: every table is annotated independently, and the per-column
-caches the cascade relies on are either process-local (the shared embedder and
-shape-mask caches, inherited by forked workers) or keyed purely by column
-content (the profile store).  An :class:`ExecutionBackend` exploits that by
-splitting the work items into contiguous, near-equal shards, running the same
-shard function on each, and reassembling the results in input order — which
-makes every backend's output *identical* to the serial path by construction
-(pinned by ``tests/test_serving.py``).
+the table level: every table is annotated independently, and the caches the
+cascade relies on are either per-``Column`` memos or process-local (the shared
+embedder and shape-mask caches, inherited by forked workers).  An
+:class:`ExecutionBackend` exploits that by splitting the work items into
+contiguous, near-equal shards, running the same shard function on each, and
+reassembling the results in input order — which makes every backend's output
+*identical* to the serial path by construction (pinned by
+``tests/test_serving.py``).
 
 There are two backends: ``serial`` runs in the calling thread, and
 ``multiprocess`` forks workers.  Forked workers inherit the (possibly very
@@ -38,7 +38,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.core.errors import ConfigurationError, ServingError
-from repro.serving.profile_store import install_fork_handlers
 
 __all__ = [
     "ExecutionBackend",
@@ -154,12 +153,6 @@ class MultiprocessBackend(ExecutionBackend):
     would keep serving the snapshot from its fork, silently ignoring feedback
     applied since), at the cost of pool spin-up per call.  Suit it to large
     bulk jobs; for online micro-batches prefer serial execution.
-
-    Constructing this backend registers the profile-store at-fork handlers
-    (:func:`repro.serving.profile_store.install_fork_handlers`), so workers
-    forked while a :class:`~repro.serving.profile_store.ProfileStore` is
-    active inherit a *usable* store: a fresh lock, never one left held by a
-    parent thread that does not exist in the child.
     """
 
     name = "multiprocess"
@@ -176,7 +169,6 @@ class MultiprocessBackend(ExecutionBackend):
                 "the multiprocess backend needs the fork start method, "
                 "which this platform does not offer"
             )
-        install_fork_handlers()
         self.max_workers = int(max_workers) if max_workers is not None else available_workers()
         if self.max_workers < 1:
             raise ConfigurationError("max_workers must be at least 1")

@@ -5,16 +5,13 @@
 (``start`` / ``annotate`` / ``shutdown`` / ``summary``), so
 :class:`~repro.serving.frontend.AnnotationFrontend` drives either one
 unchanged (its ``pool=`` mode).  Underneath, the pool forks N worker
-processes, each hosting its own :class:`AnnotationService` over its own
-in-memory :class:`~repro.serving.profile_store.ProfileStore` (built from the
-pool's :class:`~repro.serving.spec.StoreSpec`), and routes every request
-with **content affinity**:
+processes, each hosting its own :class:`AnnotationService`, and routes every
+request with **content affinity**:
 
 * **Rendezvous routing.**  Each table is keyed by its smallest
   ``Column.content_hash()`` and placed by rendezvous (highest-random-weight)
   hashing over the live worker slots, so the same content always lands on
-  the same worker — and finds its derived state warm there — with no
-  routing state to keep or recover.
+  the same worker with no routing state to keep or recover.
 * **Load-balance escape hatch.**  When the chosen worker's queue depth
   reaches ``queue_depth_bound`` the request escapes to the least-loaded
   worker — affinity is a preference, not a hostage situation.
@@ -23,7 +20,7 @@ with **content affinity**:
   collected, a replacement forked into the same slot, and every request
   that was in flight on it re-dispatched — callers never observe the death,
   and results stay bit-identical to a single-process run (derived state is
-  deterministic; a cold store only costs recomputation).
+  deterministic; a cold replacement only costs recomputation).
 
 Workers speak the SGN1 frame protocol of :mod:`repro.serving.net`
 (``MSG_POOL_*`` messages, pickled payloads) over inherited socketpairs; the
@@ -68,7 +65,7 @@ from repro.serving.net import (
     pack_frame,
     read_frame_async,
 )
-from repro.serving.spec import PoolSpec, ServingSpec, StoreSpec
+from repro.serving.spec import PoolSpec, ServingSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sigmatyper import SigmaTyper
@@ -124,8 +121,8 @@ class PoolStats:
     #: Wall-clock seconds from dispatch to completion, summed over requests.
     request_seconds_total: float = 0.0
     #: Per-slot snapshot (pid, liveness, queue depth, exit code, and the
-    #: worker's own service and store stats from its last heartbeat pong)
-    #: refreshed by the heartbeat loop and ``summary()``.
+    #: worker's own service stats from its last heartbeat pong) refreshed by
+    #: the heartbeat loop and ``summary()``.
     per_worker: dict[int, dict] = field(default_factory=dict)
 
     @property
@@ -183,7 +180,6 @@ def _pool_worker_main(
     slot: int,
     typer: "SigmaTyper",
     service_kwargs: dict,
-    store_spec: StoreSpec,
     close_fds: list[int],
 ) -> None:
     """Forked worker entry point: drop inherited fds, serve until EOF."""
@@ -193,7 +189,7 @@ def _pool_worker_main(
         except OSError:
             pass
     try:
-        asyncio.run(_worker_serve(child_sock, slot, typer, service_kwargs, store_spec))
+        asyncio.run(_worker_serve(child_sock, slot, typer, service_kwargs))
     finally:
         try:
             child_sock.close()
@@ -206,12 +202,10 @@ async def _worker_serve(
     slot: int,
     typer: "SigmaTyper",
     service_kwargs: dict,
-    store_spec: StoreSpec,
 ) -> None:
     """Host one :class:`AnnotationService` behind the pool frame protocol."""
     from repro.serving.service import AnnotationService
 
-    store = store_spec.build().activate()
     service = AnnotationService(typer, **service_kwargs)
     await service.start()
     reader, writer = await asyncio.open_connection(sock=child_sock)
@@ -231,7 +225,6 @@ async def _worker_serve(
                     "slot": slot,
                     "pid": os.getpid(),
                     "service": service.stats.to_dict(),
-                    "store": store.stats(),
                 }
                 await _write_message(writer, write_lock, MSG_POOL_PONG, pong)
             elif msg_type == MSG_POOL_REQUEST:
@@ -340,13 +333,10 @@ class AnnotationPool:
         ``typer.annotate`` directly.
     workers:
         Worker count, or the typed/string spec forms: a
-        :class:`~repro.serving.spec.PoolSpec` (routing knobs), a
+        :class:`~repro.serving.spec.PoolSpec` (escape and heartbeat knobs), a
         :class:`~repro.serving.spec.ServingSpec` or string (``"pool:4"``,
         ``"pool:4@serial"`` — the backend part becomes each worker's
         in-process execution backend).
-    store:
-        Optional :class:`~repro.serving.spec.StoreSpec` sizing each worker's
-        in-memory profile store (default: ``StoreSpec()``).
     max_batch_size / max_batch_delay / backend:
         Forwarded to each worker's :class:`AnnotationService`.
     slo:
@@ -360,7 +350,6 @@ class AnnotationPool:
         typer: "SigmaTyper",
         workers: "int | str | PoolSpec | ServingSpec" = 2,
         *,
-        store: StoreSpec | None = None,
         max_batch_size: int = 32,
         max_batch_delay: float = 0.005,
         backend=None,
@@ -393,7 +382,6 @@ class AnnotationPool:
         self.spec = spec
         self.pool_spec: PoolSpec = spec.pool  # type: ignore[assignment]
         self.stats = PoolStats()
-        self._store_spec = store if store is not None else StoreSpec()
         self._service_kwargs = {
             "max_batch_size": max_batch_size,
             "max_batch_delay": max_batch_delay,
@@ -406,7 +394,6 @@ class AnnotationPool:
         self._started = False
         self._draining = False
         self._ids = count(1)
-        self._rr_next = 0
 
     @staticmethod
     def _normalise(workers) -> ServingSpec:
@@ -524,7 +511,6 @@ class AnnotationPool:
                     slot,
                     self.typer,
                     self._service_kwargs,
-                    self._store_spec,
                     sibling_fds + [parent_sock.fileno()],
                 ),
                 daemon=True,
@@ -596,10 +582,6 @@ class AnnotationPool:
         alive = self._alive_workers()
         if not alive:
             raise ServingError("AnnotationPool has no live workers")
-        if self.pool_spec.routing == "round-robin":
-            worker = alive[self._rr_next % len(alive)]
-            self._rr_next += 1
-            return worker
         by_slot = {worker.slot: worker for worker in alive}
         key = min((column.content_hash() for column in table.columns), default="")
         worker = by_slot[_rendezvous_slot(key, sorted(by_slot))]
@@ -761,7 +743,6 @@ class AnnotationPool:
                 "exitcode": worker.exitcode,
             }
             if worker.last_pong is not None:
-                info["store"] = worker.last_pong.get("store")
                 info["service"] = worker.last_pong.get("service")
             snapshot[worker.slot] = info
         self.stats.per_worker = snapshot
@@ -776,7 +757,6 @@ class AnnotationPool:
         report: dict[str, object] = {
             "running": self.is_running,
             "workers": self.pool_spec.workers,
-            "routing": self.pool_spec.routing,
             "spec": str(self.spec),
         }
         report.update(render_stats(pool=self))

@@ -13,16 +13,6 @@ mixes customers: each group is annotated with exactly the requester's
 ``customer_id``, so one tenant's local model can never leak into another's
 predictions.
 
-The batching window and batch-size cap can be **fixed** (the defaults) or
-**adaptive**: with an :class:`AdaptiveBatchingConfig`, a bounded AIMD-style
-controller per customer tunes both knobs online from the per-batch latency
-and arrival-rate statistics the service already collects — saturated batches
-grow the window additively to amortise more work per cascade pass, idle
-windows and latency breaches shrink it multiplicatively to protect tail
-latency.  Controller decisions are exposed in :class:`ServiceStats`.
-Adaptivity only changes *when* work is grouped, never *what* is computed, so
-predictions stay bit-identical to direct annotation either way.
-
 Requests may carry a **deadline**: ``annotate(table, deadline=0.25)`` gives
 the request a 250 ms end-to-end budget.  A request that ages out while queued
 is discarded by the worker *before* its group's cascade runs (expired work is
@@ -31,8 +21,8 @@ never computed), and the caller gets a typed
 expires — not when the worker happens to reach it.  Client-side cancellation
 (``asyncio.CancelledError`` in the awaiting task) is equally safe at any
 point: the worker skips requests whose future is already settled, never
-counts skipped work into batching statistics or AIMD latency observations,
-and a group whose every request was cancelled is not annotated at all.
+counts skipped work into batching or SLO latency statistics, and a group
+whose every request was cancelled is not annotated at all.
 
 Shutdown is graceful: :meth:`shutdown` stops accepting new requests, lets the
 worker drain everything already enqueued, and fails any stragglers with
@@ -53,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
@@ -72,143 +61,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.sigmatyper import SigmaTyper
     from repro.serving.backends import ExecutionBackend
 
-__all__ = ["AdaptiveBatchingConfig", "AnnotationService", "ServiceStats"]
-
-
-@dataclass
-class AdaptiveBatchingConfig:
-    """Bounds and gains of the per-customer AIMD batching controller.
-
-    The controller follows the classic congestion-control shape: **additive
-    increase** while demand saturates the current batch size (coalescing more
-    per cascade pass raises throughput), **multiplicative decrease** when a
-    batch breaches the latency target or the window expires mostly idle
-    (waiting longer would only add latency).  Both knobs are hard-bounded —
-    the window never leaves ``[min_batch_delay, max_batch_delay]`` and the
-    size cap never leaves ``[1, max_batch_size]`` — so a misbehaving workload
-    can degrade the controller's choices, never the service's limits.
-    """
-
-    #: Hard lower bound on the coalescing window (seconds).
-    min_batch_delay: float = 0.0
-    #: Hard upper bound on the coalescing window (seconds).
-    max_batch_delay: float = 0.05
-    #: Hard upper bound on the per-batch request cap.
-    max_batch_size: int = 128
-    #: Additive window growth per saturated batch (seconds).
-    delay_increase: float = 0.002
-    #: Additive size-cap growth per saturated batch (requests).
-    size_increase: int = 4
-    #: Multiplicative decrease factor for both knobs (0 < backoff < 1).
-    backoff: float = 0.5
-    #: Per-batch wall-clock latency above which the controller backs off.
-    target_batch_seconds: float = 0.5
-    #: Recent arrival timestamps kept per customer for the rate estimate.
-    arrival_window: int = 64
-
-    def validate(self) -> "AdaptiveBatchingConfig":
-        if self.min_batch_delay < 0 or self.max_batch_delay < self.min_batch_delay:
-            raise ConfigurationError(
-                "adaptive batching requires 0 <= min_batch_delay <= max_batch_delay"
-            )
-        if self.max_batch_size < 1:
-            raise ConfigurationError("adaptive max_batch_size must be at least 1")
-        if not 0.0 < self.backoff < 1.0:
-            raise ConfigurationError("adaptive backoff must be in (0, 1)")
-        if self.delay_increase < 0 or self.size_increase < 0:
-            raise ConfigurationError("adaptive increase steps must be non-negative")
-        if self.target_batch_seconds <= 0:
-            raise ConfigurationError("target_batch_seconds must be positive")
-        if self.arrival_window < 2:
-            raise ConfigurationError("arrival_window must be at least 2")
-        return self
-
-
-class _AimdController:
-    """One customer's bounded AIMD state: current window, size cap, history."""
-
-    __slots__ = (
-        "config",
-        "delay",
-        "size",
-        "increases",
-        "decreases",
-        "batches",
-        "arrivals",
-    )
-
-    def __init__(self, config: AdaptiveBatchingConfig, delay: float, size: int) -> None:
-        self.config = config
-        self.delay = min(max(delay, config.min_batch_delay), config.max_batch_delay)
-        self.size = min(max(size, 1), config.max_batch_size)
-        self.increases = 0
-        self.decreases = 0
-        self.batches = 0
-        self.arrivals: deque[float] = deque(maxlen=config.arrival_window)
-
-    def record_arrival(self, now: float) -> None:
-        self.arrivals.append(now)
-
-    @property
-    def arrival_rate(self) -> float:
-        """Requests/second over the recent arrival window (0 when unknown)."""
-        if len(self.arrivals) < 2:
-            return 0.0
-        span = self.arrivals[-1] - self.arrivals[0]
-        return (len(self.arrivals) - 1) / span if span > 0 else 0.0
-
-    def observe(self, batch_size: int, batch_seconds: float) -> None:
-        """Update the knobs from one completed batch (AIMD step).
-
-        *batch_size* is the size of the whole **coalesced** batch the
-        customer's group rode in, not the group alone: the coalesced size is
-        the demand observed during the window, which is the saturation
-        signal.  Comparing the customer's own (smaller) group against its cap
-        would make the increase branch unreachable whenever several tenants
-        share batches — precisely the multi-tenant load adaptivity targets.
-        *batch_seconds* is the group's own annotate latency.
-        """
-        config = self.config
-        self.batches += 1
-        if batch_seconds > config.target_batch_seconds:
-            # Latency breach: cut both knobs multiplicatively.
-            self.size = max(1, int(self.size * config.backoff))
-            self.delay = max(config.min_batch_delay, self.delay * config.backoff)
-            self.decreases += 1
-        elif batch_size >= self.size:
-            # Saturated under the latency target: grow additively to amortise
-            # more requests per cascade pass.
-            self.size = min(config.max_batch_size, self.size + config.size_increase)
-            self.delay = min(config.max_batch_delay, self.delay + config.delay_increase)
-            self.increases += 1
-        elif batch_size <= max(1, self.size // 2) and self.delay > config.min_batch_delay:
-            # The window expired mostly idle: shrink it to cut latency for
-            # sparse traffic.
-            self.delay = max(config.min_batch_delay, self.delay * config.backoff)
-            self.decreases += 1
-
-    def snapshot(self) -> dict[str, object]:
-        """JSON-serialisable view of the controller's current decisions."""
-        return {
-            "batch_delay": round(self.delay, 6),
-            "batch_size": self.size,
-            "increases": self.increases,
-            "decreases": self.decreases,
-            "batches": self.batches,
-            "arrival_rate_per_s": round(self.arrival_rate, 2),
-        }
+__all__ = ["AnnotationService", "ServiceStats"]
 
 
 @dataclass
 class ServiceStats:
     """Aggregate counters describing the service's batching behaviour.
 
-    Besides the request/batch totals, the stats carry the raw signals the
-    adaptive controller feeds on (per-batch wall-clock seconds) and — when
-    adaptive batching is enabled — the latest per-customer controller
-    decisions under ``controllers`` (window, size cap, increase/decrease
-    counts, observed arrival rate).  Store, kernel and transport counters
-    live in their own :func:`~repro.serving.stats.render_stats` sections.
+    Besides the request/batch totals, the stats carry per-batch wall-clock
+    and per-request queue seconds.  Kernel and transport counters live in
+    their own :func:`~repro.serving.stats.render_stats` sections.
     """
 
     requests_total: int = 0
@@ -237,8 +99,6 @@ class ServiceStats:
     #: Seconds requests spent queued (enqueue → their group's annotate call),
     #: summed over requests — the latency cost of coalescing.
     queue_seconds_total: float = 0.0
-    #: Latest per-customer AIMD controller snapshots (empty when fixed).
-    controllers: dict[str, dict] = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
@@ -283,7 +143,6 @@ class ServiceStats:
             "mean_batch_seconds": round(self.mean_batch_seconds, 4),
             "queue_seconds_total": round(self.queue_seconds_total, 4),
             "mean_queue_seconds": round(self.mean_queue_seconds, 4),
-            "controllers": {name: dict(state) for name, state in self.controllers.items()},
         }
 
 
@@ -336,13 +195,6 @@ class AnnotationService:
         the ``annotate_corpus`` call of each batch.  Leave
         unset (serial) for typical online micro-batches — the multiprocess
         backend forks a pool per call, which only pays off for large batches.
-    adaptive:
-        ``None``/``False`` (default) keeps the fixed window and size cap.
-        Pass ``True`` (defaults) or an :class:`AdaptiveBatchingConfig` to let
-        a bounded per-customer AIMD controller tune both knobs online from
-        observed per-batch latency and arrival rates; ``max_batch_size`` /
-        ``max_batch_delay`` then seed the controllers' starting point, while
-        the config's bounds cap what the controller may choose.
     slo:
         Optional SLO control of the cascade confidence threshold c: pass an
         :class:`~repro.serving.slo.SloController` (or a
@@ -359,7 +211,6 @@ class AnnotationService:
         max_batch_size: int = 32,
         max_batch_delay: float = 0.005,
         backend: "ExecutionBackend | str | None" = None,
-        adaptive: "AdaptiveBatchingConfig | bool | None" = None,
         slo: "SloController | SloConfig | None" = None,
     ) -> None:
         if max_batch_size < 1:
@@ -370,23 +221,11 @@ class AnnotationService:
         self.max_batch_size = max_batch_size
         self.max_batch_delay = max_batch_delay
         self.backend = backend
-        if adaptive is True:
-            adaptive = AdaptiveBatchingConfig()
-        elif adaptive is False:
-            adaptive = None
-        if adaptive is not None and not isinstance(adaptive, AdaptiveBatchingConfig):
-            raise ConfigurationError(
-                "adaptive must be an AdaptiveBatchingConfig, a bool, or None"
-            )
-        self.adaptive: AdaptiveBatchingConfig | None = (
-            adaptive.validate() if adaptive is not None else None
-        )
         if isinstance(slo, SloConfig):
             slo = SloController(typer, slo)
         if slo is not None and not isinstance(slo, SloController):
             raise ConfigurationError("slo must be an SloController, an SloConfig, or None")
         self.slo: SloController | None = slo
-        self._controllers: dict[str, _AimdController] = {}
         self.stats = ServiceStats()
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None
@@ -418,9 +257,7 @@ class AnnotationService:
         dropped), and every request still pending — in flight or queued —
         fails with a typed :class:`ShutdownError` instead of hanging on a
         future nobody will resolve.  Either way the call returns with the
-        worker stopped and the queue empty; the profile store is untouched
-        (it only ever gains entries, so dropping results cannot leave it
-        inconsistent).
+        worker stopped and the queue empty.
         """
         if self._worker is None:
             return
@@ -484,8 +321,6 @@ class AnnotationService:
             raise ConfigurationError("deadline must be non-negative")
         now = time.monotonic()
         deadline_at = now + deadline if deadline is not None else None
-        if self.adaptive is not None:
-            self._controller(customer_id).record_arrival(now)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         await self._queue.put(_Request(table, customer_id, future, now, deadline_at))
         if deadline_at is None:
@@ -501,31 +336,6 @@ class AnnotationService:
                 f"request exceeded its {deadline:.3f}s latency budget"
             ) from None
 
-    # --------------------------------------------------------------- controllers
-    def _controller(self, customer_id: str | None) -> _AimdController:
-        """The AIMD controller of one customer (created on first request)."""
-        assert self.adaptive is not None
-        key = customer_id if customer_id is not None else _GLOBAL
-        controller = self._controllers.get(key)
-        if controller is None:
-            controller = self._controllers[key] = _AimdController(
-                self.adaptive, delay=self.max_batch_delay, size=self.max_batch_size
-            )
-        return controller
-
-    def _batch_knobs(self, first: _Request) -> tuple[float, int]:
-        """The coalescing window and size cap to use for a nascent batch.
-
-        Fixed mode returns the constructor knobs.  Adaptive mode returns the
-        current decision of the *first* request's customer controller — the
-        customer that opened the batch paid the queueing delay, so its
-        latency/throughput trade-off governs how long the batch may wait.
-        """
-        if self.adaptive is None:
-            return self.max_batch_delay, self.max_batch_size
-        controller = self._controller(first.customer_id)
-        return controller.delay, controller.size
-
     # ------------------------------------------------------------------- worker
     async def _worker_loop(self) -> None:
         assert self._queue is not None
@@ -536,9 +346,8 @@ class AnnotationService:
                 break
             batch = [request]
             stop_after_batch = False
-            batch_delay, batch_size_cap = self._batch_knobs(request)
-            deadline = loop.time() + batch_delay
-            while len(batch) < batch_size_cap:
+            deadline = loop.time() + self.max_batch_delay
+            while len(batch) < self.max_batch_size:
                 timeout = deadline - loop.time()
                 if timeout <= 0:
                     # Window elapsed: still coalesce whatever is already queued.
@@ -566,8 +375,8 @@ class AnnotationService:
         client-side; one whose deadline has passed is failed with a typed
         :class:`DeadlineExceededError` *without* running the cascade.  Either
         way the request never reaches annotate, never contributes queue time,
-        and never feeds the AIMD or SLO controllers — cancellations cannot
-        skew latency observations.
+        and never feeds the SLO controller — cancellations cannot skew
+        latency observations.
         """
         live: list[_Request] = []
         for request in requests:
@@ -623,7 +432,7 @@ class AnnotationService:
                 # group's callers with a typed error instead of leaving them
                 # awaiting futures nobody will resolve.  The executor thread
                 # finishes its cascade in the background; its result is
-                # dropped, which is safe — the store only ever gains entries.
+                # dropped.
                 for request in requests:
                     if not request.future.done():
                         request.future.set_exception(
@@ -643,11 +452,6 @@ class AnnotationService:
                 self.stats.batch_seconds_total += elapsed
                 if degraded:
                     self.stats.degraded_batches += 1
-                if self.adaptive is not None:
-                    controller = self._controller(customer_id)
-                    controller.observe(len(batch), elapsed)
-                    key = customer_id if customer_id is not None else _GLOBAL
-                    self.stats.controllers[key] = controller.snapshot()
                 if self.slo is not None:
                     for request in requests:
                         self.slo.observe((started - request.enqueued_at) + elapsed)
@@ -662,9 +466,8 @@ class AnnotationService:
         """Service-level report in the unified :func:`~repro.serving.stats.
         render_stats` shape (running state, batching knobs, stats).
 
-        When a shared profile store is active its counters are included
-        under ``profile_store``; ``service`` holds this component's own
-        counters (docs/SERVING.md#stats-vocabulary).
+        ``service`` holds this component's own counters
+        (docs/SERVING.md#stats-vocabulary).
         """
         from repro.serving.stats import render_stats
 
@@ -672,7 +475,6 @@ class AnnotationService:
             "running": self.is_running,
             "max_batch_size": self.max_batch_size,
             "max_batch_delay": self.max_batch_delay,
-            "adaptive": self.adaptive is not None,
             "backend": getattr(self.backend, "name", self.backend) or "serial",
         }
         report.update(render_stats(service=self))

@@ -30,17 +30,12 @@ point and serving constructor accepts either form and parses strings here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.profile_store import ProfileStore
 
 __all__ = [
     "BackendSpec",
     "TransportSpec",
-    "StoreSpec",
     "PoolSpec",
     "ServingSpec",
 ]
@@ -141,43 +136,11 @@ class BackendSpec:
 
 
 @dataclass(frozen=True)
-class StoreSpec:
-    """An in-memory profile store: ``memory[:max_columns]``."""
-
-    max_columns: int = 4096
-
-    @classmethod
-    def parse(cls, spec: str) -> "StoreSpec":
-        kind, _, rest = spec.partition(":")
-        if kind != "memory":
-            raise ConfigurationError(
-                f"invalid store spec {spec!r}; expected 'memory[:max_columns]'"
-            )
-        if not rest:
-            return cls()
-        try:
-            return cls(max_columns=int(rest))
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid store spec {spec!r}") from exc
-
-    def __str__(self) -> str:
-        if self.max_columns == 4096:
-            return "memory"
-        return f"memory:{self.max_columns}"
-
-    def build(self) -> "ProfileStore":
-        """Build the :class:`~repro.serving.profile_store.ProfileStore`."""
-        from repro.serving.profile_store import ProfileStore
-
-        return ProfileStore(max_columns=self.max_columns)
-
-
-@dataclass(frozen=True)
 class PoolSpec:
     """A worker pool: N annotation processes behind one dispatcher.
 
     String form: ``pool:N`` (everything beyond the worker count is
-    kwargs-only — routing knobs do not travel in spec strings).
+    kwargs-only — the knobs below do not travel in spec strings).
     """
 
     workers: int = 2
@@ -186,9 +149,6 @@ class PoolSpec:
     queue_depth_bound: int = 4
     #: Seconds between liveness pings (also bounds dead-worker detection).
     heartbeat_interval: float = 0.25
-    #: ``"rendezvous"`` (content-hash affinity) or ``"round-robin"`` (the
-    #: blind counterfactual E17 compares against).
-    routing: str = "rendezvous"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -197,10 +157,6 @@ class PoolSpec:
             raise ConfigurationError("queue_depth_bound must be at least 1")
         if self.heartbeat_interval <= 0:
             raise ConfigurationError("heartbeat_interval must be positive")
-        if self.routing not in ("rendezvous", "round-robin"):
-            raise ConfigurationError(
-                f"unknown routing {self.routing!r}; expected 'rendezvous' or 'round-robin'"
-            )
 
     @classmethod
     def parse(cls, spec: str) -> "PoolSpec":

@@ -8,7 +8,6 @@
 build their shared sections through it, so the same counter always appears
 under the same section with the same key:
 
-* ``profile_store`` — the active store's own :meth:`stats`;
 * ``shard_transport`` — :func:`repro.serving.transport.transport_stats`;
 * ``columnar_kernels`` — :func:`repro.core.colblock.kernel_stats`;
 * plus the caller's own section (``service`` / ``frontend`` / ``pool``) and
@@ -32,18 +31,14 @@ __all__ = ["render_stats", "shared_sections"]
 def shared_sections() -> dict[str, object]:
     """The process-wide sections every serving report shares.
 
-    ``profile_store`` appears when a store is active, ``shard_transport``
-    once any transport shipped bytes, ``columnar_kernels`` always — the
-    exact presence rules ``SigmaTyper.summary()`` has always had.
+    ``shard_transport`` appears once any transport shipped bytes,
+    ``columnar_kernels`` always — the exact presence rules
+    ``SigmaTyper.summary()`` has always had.
     """
     from repro.core import colblock
-    from repro.core.table import get_active_profile_store
     from repro.serving.transport import transport_stats
 
     sections: dict[str, object] = {}
-    store = get_active_profile_store()
-    if store is not None and hasattr(store, "stats"):
-        sections["profile_store"] = store.stats()
     shard_transport = transport_stats()
     if shard_transport:
         sections["shard_transport"] = shard_transport

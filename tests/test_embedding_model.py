@@ -76,6 +76,42 @@ class TestColumnFeaturizer:
         assert featurizer.extract_many([]).shape == (0, featurizer.dim)
 
 
+class TestCacheToken:
+    def test_fresh_featurizer_reuses_memoized_feature_vectors(self, monkeypatch):
+        """The memoized feature prefix must be served to a *different*
+        featurizer instance with the same learned state, not recomputed."""
+        config = FeaturizerConfig(include_table_context=False)
+        first = ColumnFeaturizer(config=config)
+        second = ColumnFeaturizer(embedder=first.embedder, config=config)
+        assert first.cache_token() == second.cache_token()
+
+        column = Column("Income", ["$ 50K", "$ 60K", "$ 70K"])
+        expected = first.extract(column)
+
+        def recompute(_column):
+            raise AssertionError("the memoized feature prefix was recomputed")
+
+        monkeypatch.setattr(second, "_compute_column_features", recompute)
+        served = second.extract(column)
+        assert served.tobytes() == expected.tobytes()
+
+    def test_distinct_embedders_never_share_tokens(self):
+        first = ColumnFeaturizer()
+        second = ColumnFeaturizer()
+        second.embedder.fit([["alpha", "beta"], ["beta", "gamma"]])
+        assert first.cache_token() != second.cache_token()
+
+    def test_refit_with_same_vocab_size_changes_the_token(self):
+        """An in-place refit must invalidate the token even when the new
+        vocabulary happens to have the same size as the old one."""
+        featurizer = ColumnFeaturizer()
+        featurizer.embedder.fit([["alpha", "beta"], ["beta", "gamma"]])
+        before = featurizer.cache_token()
+        featurizer.embedder.fit([["alpha", "gamma"], ["alpha", "beta"]])
+        assert len(featurizer.embedder.vocabulary) == 3  # same size, new weights
+        assert featurizer.cache_token() != before
+
+
 class TestLabelVocabulary:
     def test_from_labels_sorted_and_unknown_appended(self):
         vocabulary = LabelVocabulary.from_labels(["b", "a", "b"])

@@ -4,7 +4,7 @@ These tests pin the robustness contract of the serving front end: overload
 is shed with explicit, typed rejections (never an unbounded queue), request
 deadlines propagate end-to-end and expired work is discarded before its
 cascade runs, client-side cancellation can never poison the worker loop or
-skew the AIMD controller's latency observations, the SLO controller steps
+skew the batching statistics, the SLO controller steps
 the cascade confidence threshold c down under breach and recovers it as
 load drains, and shutdown is bounded — past the drain deadline every
 pending caller gets a typed error, not a hang.
@@ -374,32 +374,6 @@ class TestServiceCancellation:
         # The cancelled group was never annotated, and never counted as served.
         assert typer.annotated_tables == 2
         assert stats.requests_total == 2
-
-    def test_fully_cancelled_group_skips_aimd_observation(self):
-        """A group whose every request was cancelled must not feed the AIMD
-        controller a latency observation it never incurred."""
-        typer = _StubTyper(delay=0.12)
-
-        async def drive():
-            async with AnnotationService(
-                typer, max_batch_delay=0.0, adaptive=True
-            ) as service:
-                blocker = asyncio.ensure_future(service.annotate(_table("blocker")))
-                await asyncio.sleep(0.02)
-                doomed = asyncio.ensure_future(
-                    service.annotate(_table("doomed"), customer_id="t1")
-                )
-                await asyncio.sleep(0.02)
-                doomed.cancel()
-                await blocker
-                with pytest.raises(asyncio.CancelledError):
-                    await doomed
-                return service.stats
-
-        stats = asyncio.run(drive())
-        # The cancelled tenant's controller never observed a batch.
-        assert "t1" not in stats.controllers
-        assert stats.controllers["<global>"]["batches"] == 1
 
     def test_cancelled_mid_executor_is_harmless(self):
         typer = _StubTyper(delay=0.1)

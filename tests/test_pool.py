@@ -7,9 +7,9 @@ The acceptance gates pinned here:
   table and the parser cannot drift) plus the pool forms.
 * **One grammar** — ``BackendSpec.parse`` and ``resolve_backend`` accept and
   reject exactly the same strings.
-* **Rendezvous affinity** — on a repeat-heavy tenant mix the workers' store
-  misses, summed over the pool, equal one process's misses: each column's
-  derived state is computed once across the pool.
+* **Rendezvous affinity** — on a repeat-heavy tenant mix every worker serves
+  exactly the requests ``_rendezvous_slot`` predicts from each table's
+  smallest column content hash.
 * **Parity** — pool predictions bit-identical to calling the typer
   directly, including across a worker death.
 * **Supervision drill** — SIGKILL a worker mid-flight: the pool detects the
@@ -28,6 +28,7 @@ import os
 import re
 import signal
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,13 +41,12 @@ from repro.serving import (
     BackendSpec,
     FrontendConfig,
     PoolSpec,
-    ProfileStore,
     ServingSpec,
-    StoreSpec,
     TransportSpec,
     resolve_backend,
     resolve_transport,
 )
+from repro.serving.pool import _rendezvous_slot
 from repro.serving.stats import render_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -108,7 +108,7 @@ def tables(eval_corpus):
 async def _settled_per_worker(pool: AnnotationPool, timeout: float = 10.0) -> dict:
     """Per-worker report once every live worker has ponged after the last
     result: frames arrive in order, so a pong read after a worker's last
-    result carries its final service and store stats."""
+    result carries its final service stats."""
     for worker in pool._workers:
         worker.last_pong = None
     deadline = time.monotonic() + timeout
@@ -116,16 +116,6 @@ async def _settled_per_worker(pool: AnnotationPool, timeout: float = 10.0) -> di
         assert time.monotonic() < deadline, "workers stopped answering heartbeats"
         await asyncio.sleep(pool.pool_spec.heartbeat_interval)
     return pool.summary()["pool"]["per_worker"]
-
-
-def _single_process_misses(typer, tables, rounds: int) -> int:
-    """Store misses of one process annotating the same mix."""
-    store = ProfileStore()
-    with store.activated():
-        for _ in range(rounds):
-            for table in tables:
-                typer.annotate(table.copy())
-    return store.misses
 
 
 # ------------------------------------------------------------ spec round-trip
@@ -159,21 +149,13 @@ class TestServingSpec:
         assert str(backend) == "multiprocess:4+tcp://h:7071"
         assert str(PoolSpec.parse("pool:3")) == "pool:3"
         assert str(PoolSpec.parse("pool")) == "pool:2"  # default worker count
-        assert StoreSpec.parse("memory:128").max_columns == 128
-        assert str(StoreSpec.parse("memory:64")) == "memory:64"
-        assert str(StoreSpec.parse("memory")) == "memory"
 
     def test_invalid_specs_raise_configuration_error(self):
         for bad in ("", "warp", "serial+shm", "threaded:x", "pool:0", "pool:2@"):
             with pytest.raises(ConfigurationError):
                 ServingSpec.parse(bad)
-        for bad in ("tape:/dev/nst0", "disk:/var/lib/repro", "memory:x"):
-            with pytest.raises(ConfigurationError):
-                StoreSpec.parse(bad)
         with pytest.raises(ConfigurationError):
             TransportSpec.parse("tcp://missing-port")
-        with pytest.raises(ConfigurationError):
-            PoolSpec(routing="warm")
 
     def test_parse_and_resolve_accept_the_same_strings(self, monkeypatch):
         """One grammar: the typed parser and ``resolve_backend`` agree on
@@ -214,13 +196,18 @@ class TestServingSpec:
 # ------------------------------------------------------------------ the pool
 class TestAnnotationPool:
     def test_parity_and_affinity_on_repeat_heavy_mix(self, pretrained_typer, tables):
-        """Each column's derived state is computed once across the pool,
-        and results are bit-identical."""
+        """Every table lands on its rendezvous slot, and results are
+        bit-identical."""
         serial = _comparable([pretrained_typer.annotate(t) for t in tables])
         rounds = 4
+        slots = [0, 1, 2]
+        predicted = Counter(
+            _rendezvous_slot(min(column.content_hash() for column in table.columns), slots)
+            for table in tables
+        )
 
         async def drive():
-            spec = PoolSpec(workers=3, heartbeat_interval=0.05)
+            spec = PoolSpec(workers=len(slots), heartbeat_interval=0.05)
             async with AnnotationPool(pretrained_typer, spec) as pool:
                 results = []
                 for _ in range(rounds):
@@ -230,8 +217,9 @@ class TestAnnotationPool:
 
         results, stats, per_worker = asyncio.run(drive())
         assert _comparable(results) == serial * rounds
-        pool_misses = sum(info["store"]["misses"] for info in per_worker.values())
-        assert pool_misses == _single_process_misses(pretrained_typer, tables, rounds)
+        served = {slot: info["service"]["requests_total"] for slot, info in per_worker.items()}
+        assert served == {slot: predicted[slot] * rounds for slot in slots}
+        assert stats.escapes == 0
         assert stats.completed_total == len(tables) * rounds
         assert stats.errors_total == 0
 
@@ -245,10 +233,8 @@ class TestAnnotationPool:
 
         per_worker = asyncio.run(drive())
         served = sorted(info["service"]["requests_total"] for info in per_worker.values())
-        # Every repeat lands on the worker that first saw the table, warm.
+        # Every repeat lands on the worker that first saw the table.
         assert served == [0, 0, 5]
-        store = next(info["store"] for info in per_worker.values() if info["store"]["hits"])
-        assert store["misses"] == tables[0].num_columns
 
     def test_sigkill_worker_redispatches_in_flight_requests(self, pretrained_typer, tables):
         """The supervision drill: kill -9 a worker, lose zero requests."""
@@ -275,22 +261,6 @@ class TestAnnotationPool:
         assert stats.restarts >= 1
         assert stats.redispatches >= 1
         assert stats.errors_total == 0
-
-    def test_round_robin_routing_is_blind(self, pretrained_typer, tables):
-        async def drive():
-            spec = PoolSpec(workers=2, routing="round-robin", heartbeat_interval=0.05)
-            async with AnnotationPool(pretrained_typer, spec) as pool:
-                for _ in range(5):
-                    await pool.annotate(tables[0].copy())
-                return await _settled_per_worker(pool)
-
-        per_worker = asyncio.run(drive())
-        # Alternating slots: both workers compute the table's derived state;
-        # rendezvous routing in the same scenario computes it once.
-        served = sorted(info["service"]["requests_total"] for info in per_worker.values())
-        assert served == [2, 3]
-        misses = [info["store"]["misses"] for info in per_worker.values()]
-        assert misses == [tables[0].num_columns] * 2
 
     def test_shutdown_is_clean_and_fast(self, pretrained_typer, tables):
         """Regression: shutting down a pool that served requests takes well

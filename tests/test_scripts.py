@@ -138,7 +138,8 @@ def bench_repo(tmp_path, monkeypatch):
     artifact = {
         "experiment": "E17_pool_routing",
         "num_tables": 40,
-        "worker_store_misses": {"single_process": 11, "rendezvous": 11, "round_robin": 22},
+        "requests_per_worker": {"predicted": [60, 36], "observed": [60, 36]},
+        "escapes": 0,
         "kill_drill": {"redispatches": 7, "lost_requests": 0},
     }
     (tmp_path / "BENCH_pool_routing.json").write_text(
@@ -155,7 +156,7 @@ def test_bench_summary_writes_table(bench_repo, capsys):
     text = (root / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
     introduced = mod.EXPERIMENTS["E17_pool_routing"][0]
     assert f"| `E17_pool_routing` | {introduced} |" in text
-    assert "rendezvous worker-store misses 11 (gate: one process's 11)" in text
+    assert "per-worker requests [60, 36] (gate: rendezvous prediction [60, 36])" in text
     assert "40 tables" in text
 
 
@@ -172,7 +173,7 @@ def test_bench_summary_check_fails_when_stale(bench_repo, capsys):
     artifact = json.loads(
         (root / "BENCH_pool_routing.json").read_text(encoding="utf-8")
     )
-    artifact["worker_store_misses"]["rendezvous"] = 12
+    artifact["requests_per_worker"]["observed"] = [61, 35]
     (root / "BENCH_pool_routing.json").write_text(
         json.dumps(artifact), encoding="utf-8"
     )

@@ -1,11 +1,11 @@
-"""Serving layer: execution backends, shared profile store, async facade.
+"""Serving layer: execution backends, column memos, async facade.
 
-The serving layer's contract is *parity*: every execution backend, the
-store-backed cache, and the async service must produce predictions identical
-(bit-for-bit on the confidence floats) to the plain serial path.  These tests
-pin that contract, plus the concurrency behaviours that cannot regress
-silently — customer isolation under concurrent requests, eviction never
-changing predictions, and graceful shutdown.
+The serving layer's contract is *parity*: every execution backend and the
+async service must produce predictions identical (bit-for-bit on the
+confidence floats) to the plain serial path.  These tests pin that contract,
+plus the concurrency behaviours that cannot regress silently — customer
+isolation under concurrent requests, concurrent callers sharing one typer,
+and graceful shutdown.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError, ServingError
-from repro.core.table import Column, get_active_profile_store
+from repro.core.table import Column
 from repro.serving import (
     AnnotationService,
     MultiprocessBackend,
-    ProfileStore,
     SerialBackend,
     resolve_backend,
     shard_items,
@@ -36,13 +35,6 @@ def _comparable(predictions):
 def _fresh(tables):
     """Copies with cold per-column caches, as a new request would carry."""
     return [table.copy() for table in tables]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _no_leaked_store():
-    """The shared store is process-global state; keep it out of other tests."""
-    yield
-    assert get_active_profile_store() is None
 
 
 @pytest.fixture()
@@ -191,8 +183,8 @@ class TestBackendParity:
         assert serial.tobytes() == multiprocess.tobytes()
 
 
-# -------------------------------------------------------------- profile store
-class TestProfileStore:
+# --------------------------------------------------------------- column memos
+class TestColumnMemo:
     def test_content_hash_keys_on_name_values_and_value_types(self):
         first = Column("Income", ["$ 50K", "$ 60K", None])
         second = Column("Income", ["$ 50K", "$ 60K", None], semantic_type="salary")
@@ -215,93 +207,36 @@ class TestProfileStore:
         assert Column("c", ["AB", ""]).content_hash() != Column("c", ["A", "B"]).content_hash()
         assert Column("cA", ["B"]).content_hash() != Column("c", ["A", "B"]).content_hash()
 
-    def test_invalidate_cache_refreshes_hash_and_store_entry(self):
-        store = ProfileStore(max_columns=8)
-        with store.activated():
-            column = Column("city", ["Berlin", "Paris", "Berlin"])
-            assert column.value_counts() == {"Berlin": 2, "Paris": 1}
-            stale_hash = column.content_hash()
-            assert stale_hash in store
-            column.values.append("Oslo")
-            column.invalidate_cache()
-            assert stale_hash not in store
-            assert column.content_hash() != stale_hash
-            assert column.value_counts() == {"Berlin": 2, "Paris": 1, "Oslo": 1}
+    def test_invalidate_cache_refreshes_hash_and_memo(self):
+        column = Column("city", ["Berlin", "Paris", "Berlin"])
+        assert column.value_counts() == {"Berlin": 2, "Paris": 1}
+        stale_hash = column.content_hash()
+        column.values.append("Oslo")
+        # Until invalidated, the memo and the hash still describe the old values.
+        assert column.value_counts() == {"Berlin": 2, "Paris": 1}
+        assert column.content_hash() == stale_hash
+        column.invalidate_cache()
+        assert column.content_hash() != stale_hash
+        assert column.value_counts() == {"Berlin": 2, "Paris": 1, "Oslo": 1}
 
-    def test_short_lived_columns_share_derived_state(self):
-        store = ProfileStore(max_columns=8)
-        with store.activated():
-            first = Column("city", ["Berlin", "Paris"])
-            first.text_values()
-            hits_before = store.hits
-            # A brand-new column object with identical content hits the store.
-            second = Column("city", ["Berlin", "Paris"])
-            assert second.text_values() == ["Berlin", "Paris"]
-            assert store.hits > hits_before
-            assert len(store) == 1
-
-    def test_lru_eviction_is_bounded_and_counted(self):
-        store = ProfileStore(max_columns=2)
-        with store.activated():
-            for index in range(5):
-                Column(f"c{index}", [str(index)]).text_values()
-            assert len(store) == 2
-            assert store.evictions == 3
-            assert store.stats()["entries"] == 2
-
-    def test_eviction_never_changes_predictions(self, pretrained_typer, mixed_tables):
+    def test_concurrent_callers_share_one_typer(self, pretrained_typer, mixed_tables):
+        """Plain threads calling ``annotate_corpus`` on one typer at once
+        (shared embedder and header caches) never move a prediction."""
         baseline = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        # A pathologically small store thrashes on every table; predictions
-        # must not move.
-        tiny = ProfileStore(max_columns=2)
-        with tiny.activated():
-            thrashed = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        assert tiny.evictions > 0
-        assert _comparable(baseline) == _comparable(thrashed)
-
-    def test_store_parity_and_warm_hits(self, pretrained_typer, mixed_tables):
-        baseline = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        store = ProfileStore(max_columns=512)
-        with store.activated():
-            cold = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-            warm = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        assert _comparable(baseline) == _comparable(cold)
-        assert _comparable(baseline) == _comparable(warm)
-        # The second pass reuses every namespace created by the first.
-        assert store.hit_rate > 0.5
-        assert get_active_profile_store() is None
-
-    def test_store_with_concurrent_callers(self, pretrained_typer, mixed_tables):
-        """Plain threads calling ``annotate_corpus`` at once share one active
-        store (same content, same namespaces) without moving a prediction."""
-        baseline = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        store = ProfileStore(max_columns=512)
         results: list = [None] * 4
 
         def call(index: int) -> None:
             results[index] = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
 
-        with store.activated():
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
         for predictions in results:
             assert _comparable(baseline) == _comparable(predictions)
-        assert store.hits > 0
 
-    def test_activate_and_deactivate(self):
-        store = ProfileStore()
-        assert store.activate() is store
-        assert get_active_profile_store() is store
-        store.deactivate()
-        assert get_active_profile_store() is None
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            ProfileStore(max_columns=0)
 
 
 # ------------------------------------------------------------------- service
