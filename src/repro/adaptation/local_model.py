@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.core.table import Column, Table
 from repro.dpbd.feedback import ImplicitApproval
-from repro.dpbd.label_model import LabelModel, MajorityVoteLabelModel
+from repro.dpbd.label_model import MajorityVoteLabelModel
 from repro.dpbd.session import AdaptationUpdate
 from repro.embedding_model.classifier import TableEmbeddingClassifier
 from repro.lookup.labeling_functions import LabelingFunctionStore
@@ -46,13 +46,14 @@ class LocalModel:
         customer_id: str,
         config: LocalModelConfig | None = None,
         classifier: TableEmbeddingClassifier | None = None,
-        label_model: LabelModel | None = None,
     ) -> None:
         self.customer_id = customer_id
         self.config = config or LocalModelConfig()
         self.labeling_functions = LabelingFunctionStore()
         self.weights = GlobalLocalWeights(config=self.config.weight_schedule)
-        self.label_model = label_model or MajorityVoteLabelModel()
+        #: Combines each column's votes independently of the other columns,
+        #: which is what lets a whole table be labeled in one call.
+        self.label_model = MajorityVoteLabelModel()
         #: Optional customer-private copy of the learned classifier.
         self.classifier = classifier
         self.training_examples: list[tuple[Column, Table | None, str]] = []
@@ -119,15 +120,17 @@ class LocalModel:
         """Local per-type confidences for several columns of one table.
 
         Semantically identical to :meth:`predict_scores` per column, but the
-        finetuned classifier (when present) runs **one** batched forward pass
-        for the whole table instead of one per column — the bulk hot path of
-        the adapted-customer blend.
+        labeling functions score the whole table in **one** label-model call
+        and the finetuned classifier (when present) runs **one** batched
+        forward pass instead of one per column — the bulk hot path of the
+        adapted-customer blend.
         """
         scores_per_column: list[dict[str, float]] = [{} for _ in columns]
         if len(self.labeling_functions):
-            functions = list(self.labeling_functions)
-            for scores, column in zip(scores_per_column, columns):
-                lf_scores = self.label_model.label_column(functions, column, table)
+            distributions = self.label_model.label_distributions(
+                list(self.labeling_functions), [(column, table) for column in columns]
+            )
+            for scores, lf_scores in zip(scores_per_column, distributions):
                 for type_name, confidence in lf_scores.items():
                     scores[type_name] = max(scores.get(type_name, 0.0), confidence)
         if self.classifier is not None and self.classifier.is_fitted and self.has_adaptations():

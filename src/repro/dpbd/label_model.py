@@ -6,10 +6,10 @@ models are provided:
 
 * :class:`MajorityVoteLabelModel` — the weighted soft majority vote: each LF
   contributes its confidence, scaled by its weight, to its target type.
-* :class:`AgreementWeightedLabelModel` — re-estimates each LF's reliability
-  from how often it agrees with its peers (a lightweight, EM-flavoured
-  approximation of the Snorkel generative model), then applies the weighted
-  vote with the learned reliabilities.
+* :class:`AgreementWeightedLabelModel` — estimates each LF's reliability once
+  from how often it agrees with its peers (a single-pass heuristic stand-in
+  for the Snorkel generative model, not an iterative fit), then applies the
+  weighted vote with those reliabilities.
 
 Both return, per column, a distribution over candidate types that the weak
 label generator thresholds into training examples.
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.table import Column, Table
-from repro.lookup.labeling_functions import LabelingFunction, LFContext
+from repro.lookup.labeling_functions import LabelingFunction
 
 __all__ = ["LabelModel", "MajorityVoteLabelModel", "AgreementWeightedLabelModel"]
 
@@ -39,19 +39,15 @@ class _VoteMatrix:
     def num_columns(self) -> int:
         return len(self.votes)
 
-    @property
-    def num_functions(self) -> int:
-        return len(self.functions)
-
 
 def _build_vote_matrix(
     functions: Sequence[LabelingFunction],
     columns: Sequence[tuple[Column, Table | None]],
 ) -> _VoteMatrix:
-    votes = []
-    for column, table in columns:
-        context = LFContext(table=table)
-        votes.append([function.apply(column, context) for function in functions])
+    # LF-major, as data programming builds its label matrix: each function
+    # sees the whole batch at once, so it scores each distinct input once.
+    by_function = [function.apply_many(columns) for function in functions]
+    votes = [[function_votes[i] for function_votes in by_function] for i in range(len(columns))]
     return _VoteMatrix(votes=votes, functions=list(functions))
 
 
@@ -121,13 +117,10 @@ class AgreementWeightedLabelModel(LabelModel):
     reliable), smoothed towards 1.0 so lone functions are not penalised.
     """
 
-    def __init__(self, smoothing: float = 0.5, iterations: int = 2):
+    def __init__(self, smoothing: float = 0.5):
         if not 0.0 <= smoothing <= 1.0:
             raise ConfigurationError("smoothing must be in [0, 1]")
-        if iterations < 1:
-            raise ConfigurationError("iterations must be >= 1")
         self.smoothing = smoothing
-        self.iterations = iterations
         #: Reliability per LF name after the last call (exposed for inspection).
         self.last_reliabilities: dict[str, float] = {}
 
@@ -139,11 +132,7 @@ class AgreementWeightedLabelModel(LabelModel):
         if not functions:
             return [{} for _ in columns]
         matrix = _build_vote_matrix(functions, columns)
-        reliabilities = [1.0] * matrix.num_functions
-
-        for _ in range(self.iterations):
-            reliabilities = self._update_reliabilities(matrix, reliabilities)
-
+        reliabilities = self._reliabilities(matrix)
         self.last_reliabilities = {
             function.name: reliability
             for function, reliability in zip(matrix.functions, reliabilities)
@@ -168,16 +157,16 @@ class AgreementWeightedLabelModel(LabelModel):
             )
         return distributions
 
-    def _update_reliabilities(self, matrix: _VoteMatrix, current: list[float]) -> list[float]:
+    def _reliabilities(self, matrix: _VoteMatrix) -> list[float]:
         fired = [[vote >= 0.5 for vote in row] for row in matrix.votes]
-        updated = []
+        reliabilities = []
         for j, function in enumerate(matrix.functions):
             peers = [
                 k for k, other in enumerate(matrix.functions)
                 if k != j and other.target_type == function.target_type
             ]
             if not peers or matrix.num_columns == 0:
-                updated.append(1.0)
+                reliabilities.append(1.0)
                 continue
             agreements = []
             for i in range(matrix.num_columns):
@@ -187,6 +176,5 @@ class AgreementWeightedLabelModel(LabelModel):
                 agreement = sum(1 for vote in peer_votes if vote == fired[i][j]) / len(peer_votes)
                 agreements.append(agreement)
             raw = sum(agreements) / len(agreements) if agreements else 1.0
-            updated.append(self.smoothing * 1.0 + (1.0 - self.smoothing) * raw)
-        del current
-        return updated
+            reliabilities.append(self.smoothing * 1.0 + (1.0 - self.smoothing) * raw)
+        return reliabilities

@@ -75,6 +75,15 @@ class LabelingFunction(ABC):
     def apply(self, column: Column, context: LFContext | None = None) -> float:
         """Confidence in ``[0, 1]`` that *column* has :attr:`target_type`."""
 
+    def apply_many(self, columns: Sequence[tuple[Column, Table | None]]) -> list[float]:
+        """:meth:`apply` on each ``(column, table)`` pair, in order.
+
+        Equal to ``[apply(column, LFContext(table=table)) for column, table
+        in columns]``.  Functions that read the header override it to score
+        each distinct input once per call.
+        """
+        return [self.apply(column, LFContext(table=table)) for column, table in columns]
+
     # ----------------------------------------------------------- serialization
     def _base_dict(self) -> dict[str, object]:
         return {
@@ -153,7 +162,14 @@ class HeaderMatchLF(LabelingFunction):
         self.threshold = float(threshold)
 
     def apply(self, column: Column, context: LFContext | None = None) -> float:
-        header = normalize_header(column.name)
+        return self._score(normalize_header(column.name))
+
+    def apply_many(self, columns: Sequence[tuple[Column, Table | None]]) -> list[float]:
+        headers = [normalize_header(column.name) for column, _ in columns]
+        scores = {header: self._score(header) for header in dict.fromkeys(headers)}
+        return [scores[header] for header in headers]
+
+    def _score(self, header: str) -> float:
         if not header:
             return 0.0
         best = max(combined_similarity(header, candidate) for candidate in self.headers)
@@ -184,26 +200,55 @@ class CoOccurrenceLF(LabelingFunction):
         if context is None or context.table is None:
             return 0.0
         neighbor_types = {t for t in context.neighbor_types if t}
-        satisfied = 0
-        for required in self.required_types:
-            if required in neighbor_types:
-                satisfied += 1
-                continue
-            if self._header_present(required, column, context):
-                satisfied += 1
-        return 1.0 if satisfied == len(self.required_types) else 0.0
+        scores: dict[tuple[str, str], float] = {}
+        matches = [
+            self._matching(context.table, required, scores)
+            for required in self.required_types
+            if required not in neighbor_types
+        ]
+        return self._vote(column, context.column_index, context.table, matches)
 
-    def _header_present(self, required_type: str, column: Column, context: LFContext) -> bool:
-        assert context.table is not None
-        required_text = required_type.replace("_", " ")
-        for index, other in enumerate(context.table.columns):
-            if context.column_index is not None and index == context.column_index:
+    def apply_many(self, columns: Sequence[tuple[Column, Table | None]]) -> list[float]:
+        scores: dict[tuple[str, str], float] = {}
+        # Keyed by id(): every table stays referenced by *columns* for the
+        # whole call, so no two live tables share a key.
+        matches: dict[int, list[list[int]]] = {}
+        votes = []
+        for column, table in columns:
+            if table is None:
+                votes.append(0.0)
                 continue
-            if other is column:
-                continue
-            if combined_similarity(other.name, required_text) >= self.header_threshold:
-                return True
-        return False
+            if id(table) not in matches:
+                matches[id(table)] = [
+                    self._matching(table, required, scores) for required in self.required_types
+                ]
+            votes.append(self._vote(column, None, table, matches[id(table)]))
+        return votes
+
+    def _matching(self, table: Table, required_type: str, scores: dict[tuple[str, str], float]) -> list[int]:
+        """Indices of *table*'s columns whose header matches *required_type*.
+
+        *scores* memoizes ``combined_similarity`` per (header, type text)
+        pair for as long as the caller keeps it.
+        """
+        text = required_type.replace("_", " ")
+        matching = []
+        for index, other in enumerate(table.columns):
+            key = (other.name, text)
+            if key not in scores:
+                scores[key] = combined_similarity(other.name, text)
+            if scores[key] >= self.header_threshold:
+                matching.append(index)
+        return matching
+
+    @staticmethod
+    def _vote(column: Column, column_index: int | None, table: Table, matches: list[list[int]]) -> float:
+        """1.0 when every required type matched a column other than *column* itself."""
+        satisfied = all(
+            any(index != column_index and table.columns[index] is not column for index in matching)
+            for matching in matches
+        )
+        return 1.0 if satisfied else 0.0
 
     def to_dict(self) -> dict[str, object]:
         return {

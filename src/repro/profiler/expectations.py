@@ -17,7 +17,7 @@ from typing import Callable
 
 from repro.core.errors import ConfigurationError
 from repro.core.table import Column
-from repro.profiler.statistics import ColumnStatistics, character_template, profile_column
+from repro.profiler.statistics import ColumnStatistics, profile_column, template_counts
 
 __all__ = ["ExpectationResult", "Expectation", "ExpectationSuite", "build_expectation_suite"]
 
@@ -79,10 +79,13 @@ def _per_value_result(
     expectation: Expectation, column: Column, predicate: Callable[[str], bool], applicable_numeric: bool = False
 ) -> ExpectationResult:
     values = column.numeric_values() if applicable_numeric else column.text_values()
-    if not values:
+    return _fraction_result(expectation, sum(1 for value in values if predicate(value)), len(values))
+
+
+def _fraction_result(expectation: Expectation, hits: int, total: int) -> ExpectationResult:
+    if not total:
         return ExpectationResult(expectation.kind, False, 0.0, "no applicable values")
-    hits = sum(1 for value in values if predicate(value))
-    fraction = hits / len(values)
+    fraction = hits / total
     return ExpectationResult(expectation.kind, fraction >= expectation.mostly, fraction)
 
 
@@ -130,8 +133,9 @@ def _check_values_match_regex(expectation: Expectation, column: Column) -> Expec
 
 
 def _check_values_match_template(expectation: Expectation, column: Column) -> ExpectationResult:
-    templates = set(expectation.params["templates"])
-    return _per_value_result(expectation, column, lambda v: character_template(v) in templates)
+    counts = template_counts(column)
+    hits = sum(counts.get(template, 0) for template in dict.fromkeys(expectation.params["templates"]))
+    return _fraction_result(expectation, hits, len(column.text_values()))
 
 
 def _check_null_fraction_at_most(expectation: Expectation, column: Column) -> ExpectationResult:

@@ -20,7 +20,7 @@ from repro.core.datatypes import DataType
 from repro.core.table import Column
 from repro.core.timings import stage
 
-__all__ = ["ColumnStatistics", "profile_column", "character_template"]
+__all__ = ["ColumnStatistics", "profile_column", "character_template", "template_counts"]
 
 
 def character_template(value: str, max_run: int = 3) -> str:
@@ -53,6 +53,24 @@ def character_template(value: str, max_run: int = 3) -> str:
             run_length = 1
             template.append(symbol)
     return "".join(template)
+
+
+def template_counts(column: Column) -> dict[str, int]:
+    """Occurrences of each :func:`character_template` among the column's text values.
+
+    Built once from :meth:`~repro.core.table.Column.value_counts`, weighting
+    each distinct value by its count, and memoized on the column until
+    :meth:`~repro.core.table.Column.invalidate_cache`.
+    """
+
+    def compute() -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for value, count in column.value_counts().items():
+            template = character_template(value)
+            counts[template] = counts.get(template, 0) + count
+        return counts
+
+    return column._memo("template_counts", compute)
 
 
 @dataclass
@@ -211,20 +229,17 @@ def _compute_profile(column: Column, max_frequent: int, max_templates: int) -> C
         profile.mean_length = total_chars / len(text_values)
         total_chars = total_chars or 1
         digits = alphas = spaces = 0
-        template_counts: dict[str, int] = {}
         for value, count in value_counts.items():
             digits += count * sum(char.isdigit() for char in value)
             alphas += count * sum(char.isalpha() for char in value)
             spaces += count * sum(char.isspace() for char in value)
-            template = character_template(value)
-            template_counts[template] = template_counts.get(template, 0) + count
         profile.digit_fraction = digits / total_chars
         profile.alpha_fraction = alphas / total_chars
         profile.whitespace_fraction = spaces / total_chars
         profile.punctuation_fraction = max(
             0.0, 1.0 - profile.digit_fraction - profile.alpha_fraction - profile.whitespace_fraction
         )
-        ranked = sorted(template_counts.items(), key=lambda item: (-item[1], item[0]))
+        ranked = sorted(template_counts(column).items(), key=lambda item: (-item[1], item[0]))
         profile.common_templates = [template for template, _ in ranked[:max_templates]]
 
     return profile

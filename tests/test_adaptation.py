@@ -121,6 +121,14 @@ class TestLocalModel:
         scores = model.predict_scores(fig3_table["Income"], fig3_table)
         assert scores.get("salary", 0.0) > 0.5
 
+    def test_predict_scores_table_equals_per_column(self, fig3_table, corpus):
+        model = LocalModel("acme")
+        model.apply_update(self._update(fig3_table, corpus))
+        model.apply_update(DPBDSession(source_corpus=corpus).approve(fig3_table, "Cities", "city"))
+        for table in [fig3_table, *corpus.tables]:
+            expected = [model.predict_scores(column, table) for column in table.columns]
+            assert model.predict_scores_table(table.columns, table) == expected
+
     def test_combine_with_global_moves_towards_local(self, fig3_table, corpus):
         model = LocalModel("acme")
         update = self._update(fig3_table, corpus)

@@ -20,10 +20,12 @@ from repro.dpbd import (
     generate_weak_labels,
     infer_labeling_functions,
 )
+from repro.dpbd.label_model import _build_vote_matrix
 from repro.dpbd.lf_inference import LFInferenceConfig
 from repro.lookup.labeling_functions import (
     CoOccurrenceLF,
     HeaderMatchLF,
+    LFContext,
     MeanRangeLF,
     ValueRangeLF,
     ValueSetLF,
@@ -146,8 +148,23 @@ class TestLabelModels:
     def test_agreement_invalid_config(self):
         with pytest.raises(ConfigurationError):
             AgreementWeightedLabelModel(smoothing=2.0)
-        with pytest.raises(ConfigurationError):
-            AgreementWeightedLabelModel(iterations=0)
+
+    def test_vote_matrix_equals_per_column_loop(self, fig3_table, source_corpus):
+        functions = [
+            *infer_labeling_functions(
+                fig3_table["Income"], "salary", table=fig3_table, neighbor_types=["name", "company", "city"]
+            ),
+            HeaderMatchLF("city", ["town", "city"]),
+            CoOccurrenceLF("city", ["country"]),
+            CoOccurrenceLF("name", ["first_name", "last_name"]),
+            ValueSetLF("country", ["Germany", "France", "Japan"]),
+        ]
+        columns = [(entry.column, entry.table) for entry in source_corpus.columns()]
+        expected = [
+            [function.apply(column, LFContext(table=table)) for function in functions]
+            for column, table in columns
+        ]
+        assert _build_vote_matrix(functions, columns).votes == expected
 
 
 class TestWeakLabelGeneration:

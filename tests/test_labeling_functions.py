@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from datagen import random_corpus
 from repro.core.errors import LabelingFunctionError
-from repro.core.table import Column
+from repro.core.table import Column, Table
 from repro.lookup.labeling_functions import (
     CoOccurrenceLF,
     ExpectationSuiteLF,
     HeaderMatchLF,
+    LabelingFunction,
     LabelingFunctionStore,
     LFContext,
     MeanRangeLF,
@@ -101,6 +106,65 @@ class TestCoOccurrenceLF:
     def test_requires_types(self):
         with pytest.raises(LabelingFunctionError):
             CoOccurrenceLF("salary", [])
+
+    def test_own_header_does_not_count_but_a_duplicate_does(self):
+        lf = CoOccurrenceLF("salary", ["company"])
+        alone = Table([Column("company", ["a"]), Column("income", ["1"])], name="alone")
+        twins = Table([Column("company", ["a"]), Column("Company", ["b"])], name="twins")
+        pairs = [(column, table) for table in (alone, twins) for column in table.columns]
+        assert lf.apply_many(pairs) == [0.0, 1.0, 1.0, 1.0]
+        assert lf.apply(alone.columns[0], LFContext(table=alone, column_index=0)) == 0.0
+        # column_index excludes that position even for a different column object.
+        assert lf.apply(Column("x", ["1"]), LFContext(table=alone, column_index=0)) == 0.0
+
+
+#: One labeling function of every kind, with parameters that fire on the
+#: headers and values ``datagen.random_corpus`` draws.
+_PARITY_FUNCTIONS = [
+    ValueRangeLF("salary", -1e6, 1e6),
+    MeanRangeLF("salary", -1e9, 1e9),
+    HeaderMatchLF("salary", ["col1", "c 2"]),
+    CoOccurrenceLF("salary", ["col_0", "c_1"]),
+    RegexLF("name", r"[a-z]+"),
+    ValueSetLF("name", ["alpha", "NULL", "bravo-2"]),
+    ExpectationSuiteLF(
+        "name",
+        ExpectationSuite(
+            "s",
+            [
+                Expectation("values_match_template", {"templates": ["aaa+", "Aaaa+-9"]}, mostly=0.3),
+                Expectation("value_lengths_between", {"min": 1, "max": 8}),
+            ],
+        ),
+    ),
+]
+
+
+class TestApplyManyParity:
+    """Batched evaluation equals per-column ``apply`` exactly, for every LF kind."""
+
+    def test_every_kind_is_covered(self):
+        assert {type(function) for function in _PARITY_FUNCTIONS} == set(LabelingFunction.__subclasses__())
+
+    @given(seed=st.integers(0, 2**32 - 1), num_tables=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_apply_many_equals_apply(self, seed, num_tables):
+        tables = random_corpus(seed, num_tables)
+        # Duplicate and empty headers, and columns whose own header matches
+        # a required type of the co-occurrence function.
+        tables.append(
+            Table(
+                [Column("col0", ["alpha"]), Column("Col0", ["x"]), Column("", ["7"]), Column("c_1", [None])],
+                name="dup",
+            )
+        )
+        tables.append(Table([Column("col_0", ["1"]), Column("", [""])], name="self"))
+        pairs = [(column, table) for table in tables for column in table.columns]
+        pairs += [(column, None) for column, _ in pairs[:3]]
+        random.Random(seed).shuffle(pairs)
+        for function in _PARITY_FUNCTIONS:
+            expected = [function.apply(column, LFContext(table=table)) for column, table in pairs]
+            assert function.apply_many(pairs) == expected, function.kind
 
 
 class TestRegexAndValueSetLF:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from datagen import random_corpus
+from repro.core import colblock
 from repro.core.datatypes import DataType
 from repro.core.errors import ConfigurationError
 from repro.core.table import Column
@@ -119,6 +121,34 @@ class TestExpectations:
     def test_values_match_template(self):
         expectation = Expectation("values_match_template", {"templates": ["AA-999"]}, mostly=0.6)
         assert expectation.check(Column("x", ["AB-123", "CD-977"])).success
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_values_match_template_equals_per_value_count(self, kernels):
+        previous = colblock.set_kernels_enabled(kernels)
+        try:
+            for table in random_corpus(5, 30):
+                for column in table.to_block().columns:
+                    texts = column.text_values()
+                    templates = [*(character_template(text) for text in texts[:2]), "a9"]
+                    # A repeated template must not count its values twice.
+                    expectation = Expectation(
+                        "values_match_template", {"templates": templates + templates[:1]}, mostly=0.5
+                    )
+                    hits = sum(1 for text in texts if character_template(text) in templates)
+                    fraction = hits / len(texts) if texts else 0.0
+                    result = expectation.check(column)
+                    assert result.observed_fraction == fraction
+                    assert result.success == (bool(texts) and fraction >= 0.5)
+        finally:
+            colblock.set_kernels_enabled(previous)
+
+    def test_values_match_template_follows_invalidate_cache(self):
+        expectation = Expectation("values_match_template", {"templates": ["AA-999"]}, mostly=0.6)
+        column = Column("x", ["AB-123", "CD-977"])
+        assert expectation.check(column).observed_fraction == 1.0
+        column.values[0] = "ab"
+        column.invalidate_cache()
+        assert expectation.check(column).observed_fraction == 0.5
 
     def test_null_fraction_at_most(self):
         expectation = Expectation("null_fraction_at_most", {"max": 0.25})
