@@ -32,6 +32,16 @@ _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
 #: Header tokens that carry no semantic information on their own.
 _STOP_TOKENS = frozenset({"the", "of", "a", "an", "de", "der", "no"})
 
+# The header matcher's candidate screen bounds the measures below using these
+# same constants, so they live here once: changing one here moves its bound.
+#: A non-shared token counts towards ``token_set_ratio`` only at or above this
+#: Levenshtein ratio against its best partner.
+TOKEN_MATCH_CUTOFF = 0.75
+#: Jaro–Winkler's default boost per shared prefix character.
+WINKLER_PREFIX_SCALE = 0.1
+#: Jaro–Winkler counts a shared prefix over at most this many characters.
+WINKLER_PREFIX_LENGTH = 4
+
 
 def normalize_header(header: str) -> str:
     """Lower-case a header and collapse camelCase/punctuation to spaces.
@@ -53,25 +63,45 @@ def tokenize_header(header: str) -> list[str]:
 
 
 def levenshtein_distance(first: str, second: str) -> int:
-    """Minimum number of single-character edits turning *first* into *second*."""
+    """Minimum number of single-character edits turning *first* into *second*.
+
+    Bit-parallel (Myers, JACM 46(3), 1999, in Hyyrö's formulation): the
+    longer string is the pattern, one bit per character, and each character
+    of the shorter string advances a whole column of the edit-distance matrix
+    with a few integer operations.  Python ints are arbitrarily wide
+    bit-vectors, so there is no word-size limit.  ``vp``/``vn`` mark the
+    rows whose vertical delta is +1/-1, ``hp``/``hn`` the same for the
+    horizontal delta, and ``d0`` the rows whose diagonal delta is 0; the
+    distance is tracked in the pattern's last row.
+    """
     if first == second:
         return 0
-    if not first:
-        return len(second)
-    if not second:
-        return len(first)
     if len(first) < len(second):
         first, second = second, first
-    previous = list(range(len(second) + 1))
-    for i, char_a in enumerate(first, start=1):
-        current = [i]
-        for j, char_b in enumerate(second, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (char_a != char_b)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
+    if not second:
+        return len(first)
+    pattern: dict[str, int] = {}
+    bit = 1
+    for char in first:
+        pattern[char] = pattern.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    vp, vn = mask, 0
+    distance = len(first)
+    for char in second:
+        eq = pattern.get(char, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | (~(d0 | vp) & mask)
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+        vn = hp & d0
+    return distance
 
 
 def levenshtein_ratio(first: str, second: str) -> float:
@@ -128,11 +158,13 @@ def jaro_similarity(first: str, second: str) -> float:
     ) / 3.0
 
 
-def jaro_winkler_similarity(first: str, second: str, prefix_scale: float = 0.1) -> float:
+def jaro_winkler_similarity(
+    first: str, second: str, prefix_scale: float = WINKLER_PREFIX_SCALE
+) -> float:
     """Jaro–Winkler similarity: Jaro boosted for a shared prefix (≤ 4 chars)."""
     jaro = jaro_similarity(first, second)
     prefix_length = 0
-    for char_a, char_b in zip(first[:4], second[:4]):
+    for char_a, char_b in zip(first[:WINKLER_PREFIX_LENGTH], second[:WINKLER_PREFIX_LENGTH]):
         if char_a != char_b:
             break
         prefix_length += 1
@@ -159,7 +191,7 @@ def token_set_ratio(first: str, second: str) -> float:
     score = len(shared)
     for token in remaining_a:
         best = max((levenshtein_ratio(token, other) for other in remaining_b), default=0.0)
-        score += best if best >= 0.75 else 0.0
+        score += best if best >= TOKEN_MATCH_CUTOFF else 0.0
     denominator = max(len(tokens_a), len(tokens_b))
     return min(score / denominator, 1.0)
 

@@ -5,7 +5,13 @@ compared against the labels and synonyms of the semantic type ontology.
 
 * **Syntactic matching** uses the fuzzy string similarities from
   :mod:`repro.matching.fuzzy`; per the paper, an (essentially) exact match
-  sets the confidence to the maximum of 100%.
+  sets the confidence to the maximum of 100%.  A vectorized screen first
+  bounds the Levenshtein ratio, Jaro–Winkler and token-set ratio of the
+  header against every alias from character and token overlaps.  Only the
+  aliases whose bound reaches the threshold are scored in Python: with
+  ``combined_similarity`` when the Levenshtein or token bound does, and with
+  Jaro–Winkler alone when only its bound does, since their maximum then is
+  Jaro–Winkler.  The screen changes how many pairs are scored, never a score.
 * **Semantic matching** embeds the column name and the ontology labels with
   the :class:`~repro.matching.embeddings.SubwordEmbedder` (the FastText
   substitute) and uses cosine similarity as the confidence.
@@ -31,7 +37,15 @@ from repro.core.prediction import TypeScore
 from repro.core.table import Column, Table
 from repro.core.timings import stage
 from repro.matching.embeddings import SubwordEmbedder
-from repro.matching.fuzzy import combined_similarity, normalize_header, tokenize_header
+from repro.matching.fuzzy import (
+    TOKEN_MATCH_CUTOFF,
+    WINKLER_PREFIX_LENGTH,
+    WINKLER_PREFIX_SCALE,
+    combined_similarity,
+    jaro_winkler_similarity,
+    normalize_header,
+    tokenize_header,
+)
 
 __all__ = ["HeaderMatcherConfig", "HeaderMatcher"]
 
@@ -48,6 +62,13 @@ def _char_counts(text: str) -> np.ndarray:
         if index is not None:
             counts[index] += 1.0
     return counts
+
+
+def _histogram_matrix(histograms: list[np.ndarray]) -> np.ndarray:
+    """Stack character histograms into rows (zero rows when there are none)."""
+    if not histograms:
+        return np.zeros((0, len(_ALPHABET)), dtype=np.float64)
+    return np.vstack(histograms)
 
 
 @dataclass
@@ -159,19 +180,19 @@ class HeaderMatcher(PipelineStep):
     def _build_alias_screen(self) -> None:
         """Precompute per-alias data for the vectorized candidate screen.
 
-        For every alias the normalised form, its length, its character
-        histogram, its 4-character prefix, and its token set are computed
-        once; the distinct alias *tokens* additionally get their own
-        histogram matrix.  Scoring a header then starts with vectorized
-        character-overlap computations that yield *exact upper bounds* on all
-        three syntactic similarity measures; ``combined_similarity`` only
-        runs for the few aliases whose bound clears the syntactic threshold,
-        which cannot change the result.
+        For every alias: its normalised form, length, character histogram and
+        Winkler prefix; and its token set as an alias × token incidence over
+        the distinct alias tokens (one histogram row each): flat token ids,
+        each alias's start offset into them, and its token count.  An alias
+        without informative tokens points at the empty token, whose bound
+        against any header token is 0.  :meth:`_screen` turns these into three
+        exact upper bounds per alias with a few numpy passes per header.
         """
         token_index: dict[str, int] = {}
-        token_histograms: list[np.ndarray] = []
-        token_lengths: list[int] = []
-        entries: list[tuple[str, list[str], frozenset[str], np.ndarray]] = []
+        token_ids: list[int] = []
+        token_starts: list[int] = []
+        token_counts: list[int] = []
+        entries: list[tuple[str, list[str]]] = []
         lengths: list[int] = []
         histograms: list[np.ndarray] = []
         prefixes: list[list[int]] = []
@@ -179,41 +200,39 @@ class HeaderMatcher(PipelineStep):
             normalized = normalize_header(alias)
             if not normalized:
                 continue  # combined_similarity is 0.0 against everything
-            tokens = frozenset(tokenize_header(normalized))
-            for token in tokens:
-                if token not in token_index:
-                    token_index[token] = len(token_index)
-                    token_histograms.append(_char_counts(token))
-                    token_lengths.append(len(token))
-            indices = np.array(sorted(token_index[token] for token in tokens), dtype=np.intp)
-            entries.append((normalized, type_names, tokens, indices))
+            tokens = sorted(set(tokenize_header(normalized)))
+            token_starts.append(len(token_ids))
+            token_counts.append(len(tokens))
+            for token in tokens or [""]:
+                token_ids.append(token_index.setdefault(token, len(token_index)))
+            entries.append((normalized, type_names))
             lengths.append(len(normalized))
             histograms.append(_char_counts(normalized))
-            codes = [ord(char) for char in normalized[:4]]
-            prefixes.append(codes + [-1] * (4 - len(codes)))
+            codes = [ord(char) for char in normalized[:WINKLER_PREFIX_LENGTH]]
+            prefixes.append(codes + [-1] * (WINKLER_PREFIX_LENGTH - len(codes)))
         self._alias_entries = entries
         self._alias_lengths = np.array(lengths, dtype=np.float64)
-        self._alias_histograms = (
-            np.vstack(histograms)
-            if histograms
-            else np.zeros((0, len(_ALPHABET)), dtype=np.float64)
+        self._alias_histograms = _histogram_matrix(histograms)
+        self._alias_prefixes = np.array(prefixes, dtype=np.int32).reshape(
+            len(entries), WINKLER_PREFIX_LENGTH
         )
-        self._alias_prefixes = np.array(prefixes, dtype=np.int32).reshape(len(entries), 4)
-        self._token_histograms = (
-            np.vstack(token_histograms)
-            if token_histograms
-            else np.zeros((0, len(_ALPHABET)), dtype=np.float64)
-        )
-        self._token_lengths = np.array(token_lengths, dtype=np.float64)
+        self._token_histograms = _histogram_matrix([_char_counts(token) for token in token_index])
+        self._token_lengths = np.array([len(token) for token in token_index], dtype=np.float64)
+        self._alias_token_ids = np.array(token_ids, dtype=np.intp)
+        self._alias_token_starts = np.array(token_starts, dtype=np.intp)
+        self._alias_token_counts = np.array(token_counts, dtype=np.float64)
 
-    def _char_screen(self, header: str) -> np.ndarray:
-        """Vectorized upper bound on the character-level similarity measures.
+    def _char_screen(self, header: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-alias upper bounds on the Levenshtein ratio and Jaro–Winkler.
+
+        Both come from the characters the header shares with each alias
+        (``common_chars``, the overlap of their histograms):
 
         * Levenshtein: ``distance >= max_len - common_chars``, so the ratio is
           at most ``common_chars / max_len``.
         * Jaro: matches ``m <= common_chars`` and ``(m - t)/m <= 1``; the
           Winkler boost uses the *actual* shared prefix length (cheap to
-          compute exactly, and usually 0).
+          compute exactly, and usually 0), and is monotone in Jaro.
         """
         header_length = len(header)
         overlaps = np.minimum(self._alias_histograms, _char_counts(header)).sum(axis=1)
@@ -221,91 +240,90 @@ class HeaderMatcher(PipelineStep):
         jaro_bound = np.minimum(
             (overlaps / header_length + overlaps / self._alias_lengths + 1.0) / 3.0, 1.0
         )
-        header_prefix = np.full(4, -2, dtype=np.int32)
-        for position, char in enumerate(header[:4]):
+        header_prefix = np.full(WINKLER_PREFIX_LENGTH, -2, dtype=np.int32)
+        for position, char in enumerate(header[:WINKLER_PREFIX_LENGTH]):
             header_prefix[position] = ord(char)
         matches = self._alias_prefixes == header_prefix
         prefix_lengths = np.argmin(
             np.concatenate([matches, np.zeros((len(matches), 1), dtype=bool)], axis=1), axis=1
         ).astype(np.float64)
         jw_bound = np.where(
-            overlaps > 0, jaro_bound + 0.1 * prefix_lengths * (1.0 - jaro_bound), 0.0
+            overlaps > 0,
+            jaro_bound + WINKLER_PREFIX_SCALE * prefix_lengths * (1.0 - jaro_bound),
+            0.0,
         )
-        return np.maximum(lev_bound, jw_bound)
+        return lev_bound, jw_bound
+
+    def _token_bound(self, header: str) -> np.ndarray:
+        """Per-alias upper bound on ``token_set_ratio(header, alias)``.
+
+        Mirrors the measure: each header token contributes its best
+        Levenshtein-ratio bound against the alias's tokens when that bound
+        reaches the cut-off (a shared token's is exactly 1), over
+        ``max(len(header_tokens), len(alias_tokens))``.  Bounding over *all*
+        of the alias's tokens, not just the unshared ones, only loosens it.
+        One pass scores every header token against every distinct alias
+        token; the incidence then takes each alias's segment maximum.
+        """
+        tokens = list(dict.fromkeys(tokenize_header(header)))
+        if not tokens:
+            return (self._alias_token_counts == 0).astype(np.float64)
+        histograms = np.vstack([_char_counts(token) for token in tokens])
+        lengths = np.array([len(token) for token in tokens], dtype=np.float64)
+        overlaps = np.minimum(histograms[:, None, :], self._token_histograms).sum(axis=2)
+        ratios = overlaps / np.maximum(lengths[:, None], self._token_lengths)
+        # The cut-off is monotone, so gating before the segment max is exact.
+        ratios[ratios < TOKEN_MATCH_CUTOFF] = 0.0
+        best = np.maximum.reduceat(
+            ratios[:, self._alias_token_ids], self._alias_token_starts, axis=1
+        )
+        return best.sum(axis=0) / np.maximum(self._alias_token_counts, len(tokens))
+
+    def _screen(self, header: str) -> tuple[np.ndarray, np.ndarray]:
+        """Aliases that may reach the threshold, and which need every measure.
+
+        Returns the ascending indices of the aliases whose Levenshtein,
+        Jaro–Winkler or token bound reaches ``syntactic_threshold``, and for
+        each whether its Levenshtein or token bound does.  When neither does,
+        those two measures are provably below the threshold, so
+        ``combined_similarity`` (their maximum with Jaro–Winkler) clears it
+        exactly when Jaro–Winkler alone does, and then equals it.
+        """
+        threshold = self.config.syntactic_threshold
+        lev_bound, jw_bound = self._char_screen(header)
+        full = (lev_bound >= threshold) | (self._token_bound(header) >= threshold)
+        survivors = np.flatnonzero(full | (jw_bound >= threshold))
+        return survivors, full[survivors]
 
     def _syntactic_scores(self, header: str) -> dict[str, float]:
         """Best syntactic confidence per type for one normalised header.
 
         Identical to scoring ``combined_similarity(header, alias)`` against
-        every alias: the screen only skips pairs whose provable upper bound is
-        below the reporting threshold, and every surviving pair is scored with
-        the original (unmodified) similarity function.
+        every alias: :meth:`_screen` only skips pairs whose provable upper
+        bounds are all below the reporting threshold, a survivor that passes
+        only the Jaro–Winkler bound is scored with
+        ``jaro_winkler_similarity(header, alias)`` (what the maximum would
+        be), and every other survivor with ``combined_similarity`` itself.
+        An exact alias has a Levenshtein bound of 1, so it takes that path.
         """
         if not self._alias_entries:
             return {}
         threshold = self.config.syntactic_threshold
-        header_tokens = frozenset(tokenize_header(header))
-        char_bound = self._char_screen(header)
-        # Upper bound on each header token's best Levenshtein ratio against
-        # every distinct alias token (token-set contributions need >= 0.75).
-        token_bounds: dict[str, np.ndarray] = {}
-        if header_tokens and len(self._token_lengths):
-            for token in header_tokens:
-                token_bounds[token] = np.minimum(
-                    self._token_histograms, _char_counts(token)
-                ).sum(axis=1) / np.maximum(self._token_lengths, len(token))
-
+        survivors, needs_full = self._screen(header)
         best: dict[str, float] = {}
-        for index, (alias, type_names, alias_tokens, alias_token_ids) in enumerate(
-            self._alias_entries
-        ):
-            if header == alias:
-                similarity = 1.0
-            else:
-                if char_bound[index] < threshold and not self._token_screen(
-                    header_tokens, alias_tokens, alias_token_ids, token_bounds, threshold
-                ):
-                    continue
+        for index, full in zip(survivors.tolist(), needs_full.tolist(), strict=True):
+            alias, type_names = self._alias_entries[index]
+            if full:
                 similarity = combined_similarity(header, alias)
-                if similarity < threshold:
-                    continue
+            else:
+                similarity = jaro_winkler_similarity(header, alias)
+            if similarity < threshold:
+                continue
             confidence = 1.0 if similarity >= self.config.exact_threshold else similarity
             for type_name in type_names:
                 if confidence > best.get(type_name, 0.0):
                     best[type_name] = confidence
         return best
-
-    @staticmethod
-    def _token_screen(
-        header_tokens: frozenset[str],
-        alias_tokens: frozenset[str],
-        alias_token_ids: np.ndarray,
-        token_bounds: dict[str, np.ndarray],
-        threshold: float,
-    ) -> bool:
-        """Whether the token-set ratio could reach *threshold* (upper bound).
-
-        Mirrors ``token_set_ratio``: shared tokens score 1 each, every
-        non-shared header token contributes at most its best per-token
-        Levenshtein-ratio bound, and only when that bound reaches the 0.75
-        contribution cut-off.
-        """
-        if not header_tokens or not alias_tokens:
-            return header_tokens == alias_tokens
-        if header_tokens == alias_tokens:
-            return True
-        score_bound = float(len(header_tokens & alias_tokens))
-        for token in header_tokens:
-            if token in alias_tokens:
-                continue
-            bounds = token_bounds.get(token)
-            if bounds is None or not alias_token_ids.size:
-                continue
-            best_bound = float(bounds[alias_token_ids].max())
-            if best_bound >= 0.75:
-                score_bound += min(best_bound, 1.0)
-        ratio_bound = score_bound / max(len(header_tokens), len(alias_tokens))
-        return ratio_bound >= threshold
 
     def _compute_type_embeddings(self) -> None:
         assert self.embedder is not None
@@ -326,16 +344,19 @@ class HeaderMatcher(PipelineStep):
             header = normalize_header(column.name)
             if not header:
                 return []
-            cache_key = (
-                header, column.data_type if self.config.filter_by_data_kind else None
-            )
+            data_type = None
+            if self.config.filter_by_data_kind:
+                # The first read runs the column's whole value analysis.
+                with stage("profile"):
+                    data_type = column.data_type
+            cache_key = (header, data_type)
             cached = self._cache.get(cache_key)
             if cached is not None:
                 return list(cached)
             best = dict(self._channel_scores(header))
 
-            if self.config.filter_by_data_kind and best:
-                best = self._filter_by_kind(column, best)
+            if data_type is not None and best:
+                best = self._filter_by_kind(data_type, best)
 
             scores = [TypeScore(confidence=c, type_name=t) for t, c in best.items()]
             scores.sort(key=lambda s: (-s.confidence, s.type_name))
@@ -383,9 +404,10 @@ class HeaderMatcher(PipelineStep):
         self._score_cache[header] = best
         return best
 
-    def _filter_by_kind(self, column: Column, candidates: dict[str, float]) -> dict[str, float]:
+    def _filter_by_kind(
+        self, column_type: DataType, candidates: dict[str, float]
+    ) -> dict[str, float]:
         """Drop candidates whose expected data kind contradicts the values."""
-        column_type = column.data_type
         if column_type is DataType.EMPTY:
             return candidates
         filtered: dict[str, float] = {}

@@ -10,15 +10,28 @@ layer on :class:`~repro.core.table.Column` must honour explicit invalidation.
 
 from __future__ import annotations
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.core.ontology import SemanticType, TypeOntology
 from repro.core.table import Column, Table
 from repro.embedding_model.features import ColumnFeaturizer
 from repro.embedding_model.step import TableEmbeddingStep
 from repro.matching.embeddings import SubwordEmbedder
+from repro.matching.fuzzy import (
+    combined_similarity,
+    levenshtein_ratio,
+    normalize_header,
+    token_set_ratio,
+)
 from repro.matching.header_matcher import HeaderMatcher
 from repro.profiler.statistics import profile_column
+
+#: Characters a normalised header can contain.
+_HEADER_CHARS = string.ascii_lowercase + string.digits + " "
 
 
 def _tables(corpus, limit=6):
@@ -27,6 +40,53 @@ def _tables(corpus, limit=6):
 
 def _rows(tables):
     return [(column, table) for table in tables for column in table.columns]
+
+
+def _unscreened_scores(matcher, header):
+    """The syntactic channel without the screen: every alias, every measure."""
+    best = {}
+    for alias, type_names in matcher._alias_index.items():
+        similarity = combined_similarity(header, alias)
+        if similarity < matcher.config.syntactic_threshold:
+            continue
+        confidence = 1.0 if similarity >= matcher.config.exact_threshold else similarity
+        for type_name in type_names:
+            if confidence > best.get(type_name, 0.0):
+                best[type_name] = confidence
+    return best
+
+
+@st.composite
+def _near_alias_headers(draw, aliases):
+    """Headers around the screen's bounds: noise, or an alias shuffled, cut or
+    kept whole, then edited (always when kept whole)."""
+    alias = draw(st.sampled_from(aliases))
+    kind = draw(st.sampled_from(("edit", "shuffle", "truncate", "random")))
+    if kind == "random":
+        return draw(st.text(_HEADER_CHARS, min_size=1, max_size=30))
+    if kind == "shuffle":
+        tokens = alias.split() + draw(st.lists(st.sampled_from(aliases), max_size=1))
+        header = " ".join(draw(st.permutations(tokens)))
+    elif kind == "truncate":
+        header = alias[: draw(st.integers(1, len(alias)))]
+    else:
+        header = alias
+    for _ in range(draw(st.integers(1 if kind == "edit" else 0, 3))):
+        position = draw(st.integers(0, len(header)))
+        char = draw(st.sampled_from(_HEADER_CHARS))
+        edit = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if edit == "insert":
+            header = header[:position] + char + header[position:]
+        elif edit == "delete":
+            header = header[:position] + header[position + 1 :]
+        else:
+            header = header[:position] + char + header[position + 1 :]
+    return header
+
+
+@pytest.fixture(scope="module")
+def syntactic_matcher(ontology):
+    return HeaderMatcher(ontology)
 
 
 class TestFeaturizerParity:
@@ -127,24 +187,7 @@ class TestHeaderMatcherParity:
         stress every screen branch: exact aliases, near-misses, token
         reorderings, abbreviations, and unrelated noise.
         """
-        from repro.matching.fuzzy import combined_similarity, normalize_header
-
         matcher = HeaderMatcher.with_trained_embedder(ontology)
-
-        def reference(header):
-            best = {}
-            for alias, type_names in matcher._alias_index.items():
-                similarity = combined_similarity(header, alias)
-                if similarity < matcher.config.syntactic_threshold:
-                    continue
-                confidence = (
-                    1.0 if similarity >= matcher.config.exact_threshold else similarity
-                )
-                for type_name in type_names:
-                    if confidence > best.get(type_name, 0.0):
-                        best[type_name] = confidence
-            return best
-
         headers = [
             "salary", "Salaries", "anual_salary", "customer name", "name of customer",
             "CUST_NM", "birth date", "date_of_birth", "dt", "email adress",
@@ -156,7 +199,44 @@ class TestHeaderMatcherParity:
             normalized = normalize_header(header)
             if not normalized:
                 continue
-            assert matcher._syntactic_scores(normalized) == reference(normalized), header
+            assert matcher._syntactic_scores(normalized) == _unscreened_scores(
+                matcher, normalized
+            ), header
+
+    def test_alias_screen_is_exact_for_aliases_without_informative_tokens(self):
+        """A stop-word-only alias has no tokens: its token-set ratio is 1 against
+        a stop-word-only header and 0 against any other, screened or not."""
+        ontology = TypeOntology(
+            [
+                SemanticType("number", synonyms=("no", "num")),
+                SemanticType("city", synonyms=("the",)),
+            ]
+        )
+        matcher = HeaderMatcher(ontology)
+        for header in ("no", "the", "of the", "no x", "num", "number", "the city", "x"):
+            assert matcher._syntactic_scores(header) == _unscreened_scores(
+                matcher, header
+            ), header
+        assert matcher._syntactic_scores("of the") == {"number": 1.0, "city": 1.0}
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_alias_screen_is_exact_on_generated_headers(self, syntactic_matcher, data):
+        """Screened scores equal the unscreened ones, and the Jaro–Winkler-only
+        path is taken only where the other two measures miss the threshold."""
+        matcher = syntactic_matcher
+        aliases = [alias for alias, _ in matcher._alias_entries]
+        header = normalize_header(data.draw(_near_alias_headers(aliases), label="header"))
+        assume(header)
+        assert matcher._syntactic_scores(header) == _unscreened_scores(matcher, header)
+        threshold = matcher.config.syntactic_threshold
+        survivors, needs_full = matcher._screen(header)
+        for index, full in zip(survivors.tolist(), needs_full.tolist(), strict=True):
+            if full:
+                continue
+            alias = aliases[index]
+            assert levenshtein_ratio(header, alias) < threshold, alias
+            assert token_set_ratio(header, alias) < threshold, alias
 
     def test_type_matrix_rows_are_normalised_embeddings(self, ontology):
         matcher = HeaderMatcher.with_trained_embedder(ontology)

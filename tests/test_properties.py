@@ -34,7 +34,54 @@ cell_text = st.one_of(
 )
 
 
+def sized_text(alphabet) -> st.SearchStrategy[str]:
+    """Text whose length is drawn uniformly from 0–100, both sides of 64 bits."""
+    return st.integers(0, 100).flatmap(
+        lambda size: st.text(alphabet, min_size=size, max_size=size)
+    )
+
+
+# Pairs for the edit distance, both strings from one alphabet: three letters
+# force long runs of matches, printable and non-ASCII text few.
+distance_pairs = st.one_of(
+    *(
+        st.tuples(sized_text(alphabet), sized_text(alphabet))
+        for alphabet in ("abc", string.printable, st.characters(min_codepoint=0x80))
+    )
+)
+
+
+def reference_levenshtein(first: str, second: str) -> int:
+    """Textbook dynamic-programming edit distance, the bit-parallel reference."""
+    if first == second:
+        return 0
+    if not first:
+        return len(second)
+    if not second:
+        return len(first)
+    if len(first) < len(second):
+        first, second = second, first
+    previous = list(range(len(second) + 1))
+    for i, char_a in enumerate(first, start=1):
+        current = [i]
+        for j, char_b in enumerate(second, start=1):
+            insert_cost = current[j - 1] + 1
+            delete_cost = previous[j] + 1
+            substitute_cost = previous[j - 1] + (char_a != char_b)
+            current.append(min(insert_cost, delete_cost, substitute_cost))
+        previous = current
+    return previous[-1]
+
+
 class TestStringSimilarityProperties:
+    @given(distance_pairs)
+    @settings(max_examples=400, deadline=None)
+    def test_levenshtein_distance_equals_dynamic_program(self, pair):
+        first, second = pair
+        expected = reference_levenshtein(first, second)
+        assert levenshtein_distance(first, second) == expected
+        assert levenshtein_distance(second, first) == expected
+
     @given(header_text, header_text)
     @settings(max_examples=150, deadline=None)
     def test_similarities_bounded_and_symmetric(self, first, second):
