@@ -31,7 +31,6 @@ EXPERIMENTS = {
     "E13_shard_transport": ("PR 5", "zero-copy shm column blocks vs pickled shards"),
     "E14_frontend_slo": ("PR 6", "HTTP front end under overload (shedding + SLO degrade)"),
     "E15_columnar_kernels": ("PR 7", "block-native vectorized profiling & featurization"),
-    "E16_net_transport": ("PR 8", "column blocks over TCP to remote block workers, chaos-hardened"),
     "E17_pool_routing": ("PR 10", "worker pool: rendezvous routing affinity, kill drill"),
 }
 
@@ -87,17 +86,6 @@ def _headline(experiment: str, data: dict) -> str:
             f"block-native profiling+featurization {data['speedup']:g}x faster "
             f"than the rebuild path (gate {data['speedup_bar']:g}x), "
             f"predictions bit-identical"
-        )
-    if experiment == "E16_net_transport":
-        chaos = next(
-            (c for c in configs if "chaos" in c.get("configuration", "")), {}
-        )
-        return (
-            f"loopback TCP bit-identical to serial; chaos run "
-            f"({len(data.get('chaos_faults', []))} injected faults) also "
-            f"bit-identical with {chaos.get('local_fallbacks', '?')} counted local "
-            f"fallbacks, {len(data.get('leaked_segments', []))} leaked segments, "
-            f"{len(data.get('leaked_sockets', []))} leaked sockets"
         )
     if experiment == "E17_pool_routing":
         drill = data.get("kill_drill", {})

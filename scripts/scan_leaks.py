@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Post-run leak scanner shared by the E13/E14/E15/E16 CI jobs.
+"""Post-run leak scanner shared by the E13/E14/E15/E17 CI jobs.
 
 One tool instead of four hand-rolled grep steps: scans benchmark run logs
 for leak markers (fixed strings via ``--marker``, or one regex via
@@ -14,7 +14,6 @@ plain lines and as GitHub ``::error::`` annotations.
 Examples (matching the CI jobs):
 
     python scripts/scan_leaks.py --log e13-run.log
-    python scripts/scan_leaks.py --log e16-chaos.log --log e16-run.log
     python scripts/scan_leaks.py --log e15-run.log \
         --marker "UNEXPECTED KERNEL FALLBACK"
     python scripts/scan_leaks.py --log e14-run.log --no-shm \
@@ -28,10 +27,10 @@ import re
 import sys
 from pathlib import Path
 
-#: Fixed strings the transport benchmarks print when a handle survives.
-DEFAULT_MARKERS = ["LEAKED SEGMENT", "LEAKED SOCKET"]
+#: Fixed string the shard-transport benchmark prints when a segment survives.
+DEFAULT_MARKERS = ["LEAKED SEGMENT"]
 
-#: Segment-name prefixes the shm transport owns (transport.py / net.py).
+#: Segment-name prefixes the shm transport owns (transport.py).
 DEFAULT_SHM_PREFIXES = ["sigshard-", "sigres-"]
 
 

@@ -7,7 +7,7 @@ package enforces the same invariants *statically*: a dependency-free
 framework over the stdlib :mod:`ast` module running a registry of pluggable
 checkers, each grounded in a bug class that actually shipped here (the PR 4
 flusher-lock fork deadlock, the PR 8 transport-stats double count, the
-E13/E16 segment-leak greps).
+E13 segment-leak greps).
 
 Usage (CI runs exactly this, as a hard gate)::
 

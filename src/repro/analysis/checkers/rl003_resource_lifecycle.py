@@ -1,10 +1,9 @@
 """RL003: resource lifecycle — close/unlink guaranteed on all paths.
 
-The invariant the E13/E16 ``/dev/shm`` scans and "LEAKED SEGMENT"/"LEAKED
-SOCKET" log greps probe at *runtime*: every ``SharedMemory`` segment,
-``mmap``, socket, and file handle must be released on every path — context
-manager, ``finally``, or an explicit ownership transfer to an object whose
-lifecycle releases it.
+The invariant the E13 ``/dev/shm`` scans and "LEAKED SEGMENT" log greps
+probe at *runtime*: every ``SharedMemory`` segment, ``mmap``, socket, and
+file handle must be released on every path — context manager, ``finally``,
+or an explicit ownership transfer to an object whose lifecycle releases it.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ open() handles that are not guaranteed to be released, i.e. none of:
     leak: nobody holds the handle.
 
 Why: the transport layer's segments outlive exceptions ONLY because every
-path releases them — PR 5's lifecycle tests and the E13/E16 CI scans check
+path releases them — the transport lifecycle tests and the E13 CI scan check
 this dynamically, per run; RL003 checks every path, per commit.
 """
 

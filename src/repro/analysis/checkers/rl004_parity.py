@@ -1,7 +1,7 @@
 """RL004: parity hygiene — no nondeterminism sources in production code.
 
 The parity contract (docs/ARCHITECTURE.md): every execution shape — serial,
-multiprocess, shm/tcp transports, kernels on or off — produces
+multiprocess, pickle/shm transports, pool, kernels on or off — produces
 bit-identical predictions.  That contract dies the moment an unseeded RNG,
 a wall-clock value, a PYTHONHASHSEED-dependent ``hash()``, or a set
 iteration order can reach a result or a codec byte layout.
@@ -69,9 +69,9 @@ Flags nondeterminism sources in production code:
     hash-seed-dependent; `sorted(...)` first.  Order-insensitive consumers
     (sorted/len/sum/min/max/any/all) are fine.
 
-Why: the parity contract says serial == multiprocess == +shm == +tcp,
+Why: the parity contract says serial == multiprocess == +shm == pool,
 bit-identical.  Content-addressed caching (Column.content_hash),
-codec byte layouts, and the E10-E16 parity gates all assume it.  Legitimate
+codec byte layouts, and the E10-E17 parity gates all assume it.  Legitimate
 process-local uses (e.g. os.urandom in a shm segment NAME that never
 reaches results) carry a suppression naming that fact.
 """

@@ -58,7 +58,7 @@ os.getenv, or any `.get()` on an environ-like mapping — must resolve to a
 knob registered in src/repro/analysis/knobs.py:
 
   * literal names must be registered exactly;
-  * dynamic names (f-strings like f"REPRO_NET_{field.upper()}") must carry a
+  * dynamic names (f-strings like f"REPRO_COLUMNAR_{name}") must carry a
     literal prefix longer than "REPRO_" matching at least one registered
     knob;
   * inversely, a registered knob that no src/ code reads is a stale registry

@@ -27,7 +27,7 @@ TABLE_END = "<!-- knob-table:end -->"
 
 @dataclass(frozen=True)
 class Knob:
-    name: str  # the environment variable, e.g. "REPRO_NET_IO_TIMEOUT"
+    name: str  # the environment variable, e.g. "REPRO_COLUMNAR_KERNELS"
     default: str  # rendered default ("unset" when there is none)
     knob_type: str  # operator-facing type, e.g. "float, seconds"
     defined_in: str  # repo-relative module that reads it
@@ -42,59 +42,6 @@ KNOWN_KNOBS = (
         defined_in="src/repro/core/colblock.py",
         description="Kill switch for the block-native columnar kernels; "
         "disabled processes fall back to per-value profiling.",
-    ),
-    Knob(
-        name="REPRO_NET_PEERS",
-        default="unset",
-        knob_type="host:port[,host:port...]",
-        defined_in="src/repro/serving/net.py",
-        description='Worker peers for the bare "+tcp" backend spec '
-        "(specs with an inline peer list ignore it).",
-    ),
-    Knob(
-        name="REPRO_NET_CONNECT_TIMEOUT",
-        default="2.0",
-        knob_type="float, seconds",
-        defined_in="src/repro/serving/net.py",
-        description="Deadline for one TCP dial to a block worker peer.",
-    ),
-    Knob(
-        name="REPRO_NET_IO_TIMEOUT",
-        default="30.0",
-        knob_type="float, seconds",
-        defined_in="src/repro/serving/net.py",
-        description="Deadline for each framed read/write on an established "
-        "connection.",
-    ),
-    Knob(
-        name="REPRO_NET_CONNECT_RETRIES",
-        default="2",
-        knob_type="int",
-        defined_in="src/repro/serving/net.py",
-        description="Additional connect attempts after the first (0 = dial "
-        "once).",
-    ),
-    Knob(
-        name="REPRO_NET_BACKOFF_BASE",
-        default="0.05",
-        knob_type="float, seconds",
-        defined_in="src/repro/serving/net.py",
-        description="First reconnect backoff; each later retry doubles it.",
-    ),
-    Knob(
-        name="REPRO_NET_BACKOFF_MAX",
-        default="1.0",
-        knob_type="float, seconds",
-        defined_in="src/repro/serving/net.py",
-        description="Cap on the exponential reconnect backoff.",
-    ),
-    Knob(
-        name="REPRO_NET_MAX_MESSAGE_BYTES",
-        default="268435456",
-        knob_type="int, bytes",
-        defined_in="src/repro/serving/net.py",
-        description="Frame-length bound, checked before the payload is read "
-        "(256 MB).",
     ),
 )
 

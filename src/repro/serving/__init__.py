@@ -12,12 +12,6 @@ serve production traffic:
   shared-memory column blocks (``"multiprocess:4+shm"``) that ship tables
   out and fixed-width prediction records back without serializing either,
   with transparent pickle fallback and airtight segment lifecycle;
-* :mod:`repro.serving.net` — the multi-node arm of the same seam:
-  :class:`NetTransport` ships the identical block byte layouts over
-  length-prefixed crc-framed TCP (``"multiprocess:4+tcp://host:port"``)
-  with per-connection deadlines, bounded reconnect backoff, and per-shard
-  local fallback on any network failure; :class:`BlockWorkerServer` is the
-  remote peer, running the columnar kernels over received buffers;
 * :mod:`repro.serving.service` — an :class:`AnnotationService` wrapping a
   :class:`~repro.core.sigmatyper.SigmaTyper` with an asyncio request queue,
   per-customer routing, micro-batching (one fixed window and size cap),
@@ -36,11 +30,11 @@ serve production traffic:
   deployment shape: N forked worker services behind a stateless dispatcher
   (rendezvous hashing on each table's smallest column content hash, with a
   load-balance escape hatch), with heartbeat supervision and in-place
-  restart + re-dispatch on a worker death — drivable by the front end via
-  ``pool=``;
+  restart + re-dispatch on a worker death, over crc-checked SGN1 frames on
+  inherited socketpairs — drivable by the front end via ``pool=``;
 * :mod:`repro.serving.spec` — the typed configuration layer
-  (:class:`ServingSpec` and its :class:`BackendSpec` / :class:`TransportSpec`
-  / :class:`PoolSpec` parts), round-tripping every documented spec string;
+  (:class:`ServingSpec` and its :class:`BackendSpec` / :class:`PoolSpec`
+  parts), round-tripping every documented spec string;
 * :mod:`repro.serving.stats` — the unified stats vocabulary:
   :func:`render_stats` composes every ``summary()`` in the layer from the
   same canonical sections.
@@ -76,22 +70,8 @@ from repro.serving.frontend import (
     TokenBucket,
 )
 from repro.serving.pool import AnnotationPool, PoolStats
-from repro.serving.spec import (
-    BackendSpec,
-    PoolSpec,
-    ServingSpec,
-    TransportSpec,
-)
+from repro.serving.spec import BackendSpec, PoolSpec, ServingSpec
 from repro.serving.stats import render_stats, shared_sections
-from repro.serving.net import (
-    BlockWorkerServer,
-    FrameError,
-    NetConfig,
-    NetError,
-    NetTimeoutError,
-    NetTransport,
-    PeerUnavailableError,
-)
 from repro.serving.service import AnnotationService, ServiceStats
 from repro.serving.slo import SloConfig, SloController
 from repro.serving.transport import (
@@ -123,13 +103,6 @@ __all__ = [
     "resolve_transport",
     "transport_stats",
     "reset_transport_stats",
-    "NetTransport",
-    "BlockWorkerServer",
-    "NetConfig",
-    "NetError",
-    "FrameError",
-    "PeerUnavailableError",
-    "NetTimeoutError",
     "AnnotationService",
     "ServiceStats",
     "SloConfig",
@@ -145,7 +118,6 @@ __all__ = [
     "PoolStats",
     "ServingSpec",
     "BackendSpec",
-    "TransportSpec",
     "PoolSpec",
     "render_stats",
     "shared_sections",

@@ -16,10 +16,8 @@ large) pretrained model and the shard function through copy-on-write memory
 instead of pickling them, so only the table shards and their predictions
 cross process boundaries.  *How* they cross is the backend's
 :class:`~repro.serving.transport.Transport` seam — the classic pickle
-round-trip, zero-copy shared-memory column blocks
-(``"multiprocess:4+shm"``; see :mod:`repro.serving.transport`), or the same
-block byte layouts framed over TCP to remote annotation peers
-(``"multiprocess:4+tcp://host:port"``; see :mod:`repro.serving.net`).  The
+round-trip, or zero-copy shared-memory column blocks
+(``"multiprocess:4+shm"``; see :mod:`repro.serving.transport`).  The
 ``fork`` start method is required: :class:`MultiprocessBackend` raises
 :class:`~repro.core.errors.ConfigurationError` where it is unavailable.
 
@@ -227,9 +225,8 @@ def resolve_backend(
 
     Accepts an instance (returned unchanged), a spec string — ``"serial"``
     or ``"multiprocess"``, the latter optionally with a worker count and a
-    shard transport as in ``"multiprocess:4+shm"`` (``+pickle`` | ``+shm`` |
-    ``+tcp`` | ``+tcp://host:port[,host2:port2]``, see :mod:`repro.serving.transport`
-    and :mod:`repro.serving.net`) — a typed
+    shard transport as in ``"multiprocess:4+shm"`` (``+pickle`` | ``+shm``,
+    see :mod:`repro.serving.transport`) — a typed
     :class:`~repro.serving.spec.BackendSpec` / :class:`~repro.serving.spec.
     ServingSpec`, or ``None``, which resolves to *default* (falling back to a
     fresh :class:`SerialBackend`).  Strings are parsed by

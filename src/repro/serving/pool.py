@@ -22,10 +22,14 @@ request with **content affinity**:
   and results stay bit-identical to a single-process run (derived state is
   deterministic; a cold replacement only costs recomputation).
 
-Workers speak the SGN1 frame protocol of :mod:`repro.serving.net`
-(``MSG_POOL_*`` messages, pickled payloads) over inherited socketpairs; the
-``fork`` start method ships the typer by inheritance, so nothing is pickled
-at spawn time.  Deadlines travel as absolute ``time.monotonic()`` values —
+Workers speak the SGN1 frame protocol defined here (``MSG_POOL_*``
+messages, pickled payloads, crc-checked frames) over inherited socketpairs;
+the ``fork`` start method ships the typer by inheritance, so nothing is
+pickled at spawn time.  Every message is checked against the frame bound
+where it is packed: an oversized request fails on its own with a
+:class:`ServingError`, and an oversized result comes back as that
+request's error, so neither can kill the worker that would read it.
+Deadlines travel as absolute ``time.monotonic()`` values —
 ``CLOCK_MONOTONIC`` is system-wide on Linux, so parent and workers compare
 against the same clock.
 
@@ -42,8 +46,10 @@ import multiprocessing
 import os
 import pickle
 import socket
+import struct
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import count
@@ -55,16 +61,6 @@ from repro.core.errors import (
     ServingError,
     ShutdownError,
 )
-from repro.serving.net import (
-    MSG_POOL_ERROR,
-    MSG_POOL_PING,
-    MSG_POOL_PONG,
-    MSG_POOL_REQUEST,
-    MSG_POOL_RESULT,
-    FrameError,
-    pack_frame,
-    read_frame_async,
-)
 from repro.serving.spec import PoolSpec, ServingSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,8 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["AnnotationPool", "PoolStats"]
 
-#: Upper bound on one dispatcher<->worker frame (tables and predictions are
-#: small; this is a corruption guard, not a quota).
+#: Upper bound on one dispatcher<->worker frame payload.  Readers reject a
+#: larger frame from its header alone; writers check it when they pack.
 _MAX_POOL_MESSAGE_BYTES = 64 << 20
 
 #: Seconds a clean shutdown waits for one worker process to exit after its
@@ -155,7 +151,91 @@ class PoolStats:
         }
 
 
-# -------------------------------------------------------------- frame helpers
+# -------------------------------------------------------------------- framing
+#
+# Frame layout (network byte order)::
+#
+#     magic "SGN1" | u8 msg_type | u32 payload_len | u32 crc32(payload)
+#     payload_len bytes of payload
+
+FRAME_MAGIC = b"SGN1"
+#: ``magic | u8 msg_type | u32 payload_len | u32 crc32`` — 13 bytes.
+FRAME_HEADER = struct.Struct("!4sBII")
+
+#: Dispatcher <-> worker messages: a dispatched request, its result/error,
+#: and the heartbeat ping/pong pair (types 1-4 are unassigned).
+MSG_POOL_REQUEST = 5
+MSG_POOL_RESULT = 6
+MSG_POOL_ERROR = 7
+MSG_POOL_PING = 8
+MSG_POOL_PONG = 9
+
+_KNOWN_MESSAGES = frozenset(
+    {MSG_POOL_REQUEST, MSG_POOL_RESULT, MSG_POOL_ERROR, MSG_POOL_PING, MSG_POOL_PONG}
+)
+
+
+class FrameError(ServingError):
+    """Torn, oversized, or corrupt frame (bad magic / type / length / crc)."""
+
+
+def pack_frame(msg_type: int, payload) -> bytes:
+    """One complete frame: header followed by *payload*."""
+    payload = bytes(payload)
+    return FRAME_HEADER.pack(
+        FRAME_MAGIC, msg_type, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
+    ) + payload
+
+
+async def read_frame_async(
+    reader: asyncio.StreamReader, max_message_bytes: int, *, eof_ok: bool = False
+):
+    """Read one frame; returns ``(msg_type, payload, frame_bytes)``.
+
+    ``None`` on clean EOF before the first header byte when *eof_ok*.
+    Raises :class:`FrameError` for a bad magic, an unknown message type, a
+    payload over *max_message_bytes* (rejected from the header, before the
+    payload is read), a crc mismatch, or a torn frame.
+    """
+    try:
+        header = await reader.readexactly(FRAME_HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial and eof_ok:
+            return None
+        raise FrameError(
+            f"connection closed mid-frame ({len(exc.partial)}/{FRAME_HEADER.size} bytes)"
+        ) from exc
+    magic, msg_type, length, crc = FRAME_HEADER.unpack(header)
+    if magic != FRAME_MAGIC:
+        raise FrameError(f"bad frame magic {magic!r}")
+    if msg_type not in _KNOWN_MESSAGES:
+        raise FrameError(f"unknown message type {msg_type}")
+    if length > max_message_bytes:
+        raise FrameError(f"frame of {length} bytes exceeds max_message_bytes")
+    try:
+        payload = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise FrameError(
+            f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
+        ) from exc
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise FrameError("frame crc mismatch (corrupt payload)")
+    return msg_type, payload, FRAME_HEADER.size + length
+
+
+def _pack_message(msg_type: int, message: dict) -> bytes:
+    """Pickle and frame one message; :class:`ServingError` when the payload
+    exceeds the bound every reader enforces (a frame the reader would reject
+    must never be sent: the reader exits on it)."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(payload) > _MAX_POOL_MESSAGE_BYTES:
+        raise ServingError(
+            f"pool message of {len(payload)} bytes exceeds the "
+            f"{_MAX_POOL_MESSAGE_BYTES}-byte frame bound"
+        )
+    return pack_frame(msg_type, payload)
+
+
 async def _read_message(reader: asyncio.StreamReader):
     """``(msg_type, message)`` of one frame; ``None`` on clean EOF between frames."""
     frame = await read_frame_async(reader, _MAX_POOL_MESSAGE_BYTES, eof_ok=True)
@@ -164,11 +244,8 @@ async def _read_message(reader: asyncio.StreamReader):
     return frame[0], pickle.loads(frame[1])
 
 
-async def _write_message(
-    writer: asyncio.StreamWriter, lock: asyncio.Lock, msg_type: int, message: dict
-) -> None:
-    """Frame and send one pickled message (writes serialized per stream)."""
-    frame = pack_frame(msg_type, pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+async def _write_frame(writer: asyncio.StreamWriter, lock: asyncio.Lock, frame: bytes) -> None:
+    """Send one packed frame (writes serialized per stream)."""
     async with lock:
         writer.write(frame)
         await writer.drain()
@@ -226,7 +303,7 @@ async def _worker_serve(
                     "pid": os.getpid(),
                     "service": service.stats.to_dict(),
                 }
-                await _write_message(writer, write_lock, MSG_POOL_PONG, pong)
+                await _write_frame(writer, write_lock, _pack_message(MSG_POOL_PONG, pong))
             elif msg_type == MSG_POOL_REQUEST:
                 task = asyncio.get_running_loop().create_task(
                     _serve_one(service, message, writer, write_lock)
@@ -268,32 +345,29 @@ async def _serve_one(
     else:
         reply = (MSG_POOL_RESULT, {"id": request_id, "prediction": prediction})
     try:
-        await _write_message(writer, lock, *reply)
+        frame = _pack_message(*reply)
+    except ServingError as exc:  # the result is too large for one frame
+        frame = _pack_message(
+            MSG_POOL_ERROR, {"id": request_id, "kind": "serving", "message": str(exc)}
+        )
+    try:
+        await _write_frame(writer, lock, frame)
     except (ConnectionError, OSError):
         pass  # dispatcher gone; its death handling owns the request now
 
 
 # ---------------------------------------------------------------- parent side
 class _PoolRequest:
-    """One dispatched request and the future its caller awaits."""
+    """One dispatched request: its packed frame (re-sent unchanged on
+    re-dispatch) and the future its caller awaits."""
 
-    __slots__ = ("id", "table", "customer_id", "deadline_at", "future", "enqueued_at")
+    __slots__ = ("id", "frame", "future", "enqueued_at")
 
-    def __init__(self, request_id, table, customer_id, deadline_at, future, enqueued_at):
+    def __init__(self, request_id, frame, future, enqueued_at):
         self.id = request_id
-        self.table = table
-        self.customer_id = customer_id
-        self.deadline_at = deadline_at
+        self.frame = frame
         self.future = future
         self.enqueued_at = enqueued_at
-
-    def payload(self) -> dict:
-        return {
-            "id": self.id,
-            "table": self.table,
-            "customer_id": self.customer_id,
-            "deadline_at": self.deadline_at,
-        }
 
 
 class _Worker:
@@ -613,12 +687,24 @@ class AnnotationPool:
             raise ConfigurationError("deadline must be non-negative")
         now = time.monotonic()
         deadline_at = now + deadline if deadline is not None else None
+        request_id = next(self._ids)
+        message = {
+            "id": request_id,
+            "table": table,
+            "customer_id": customer_id,
+            "deadline_at": deadline_at,
+        }
+        try:
+            frame = _pack_message(MSG_POOL_REQUEST, message)
+        except ServingError:
+            self.stats.errors_total += 1
+            raise
         worker = self._route(table)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        pending = _PoolRequest(next(self._ids), table, customer_id, deadline_at, future, now)
+        pending = _PoolRequest(request_id, frame, future, now)
         worker.inflight[pending.id] = pending
         self.stats.requests_total += 1
-        await self._send(worker, MSG_POOL_REQUEST, pending.payload())
+        await self._send(worker, pending.frame)
         try:
             if deadline_at is None:
                 return await future
@@ -639,9 +725,9 @@ class AnnotationPool:
                 del worker.inflight[pending.id]
                 return
 
-    async def _send(self, worker: _Worker, msg_type: int, message: dict) -> None:
+    async def _send(self, worker: _Worker, frame: bytes) -> None:
         try:
-            await _write_message(worker.writer, worker.write_lock, msg_type, message)
+            await _write_frame(worker.writer, worker.write_lock, frame)
         except (ConnectionError, OSError):
             # The worker just died mid-write: its reader loop observes the
             # EOF and the death path re-dispatches everything in flight.
@@ -695,7 +781,7 @@ class AnnotationPool:
                 if not worker.process.is_alive():
                     await self._on_worker_exit(worker)
                     continue
-                await self._send(worker, MSG_POOL_PING, {})
+                await self._send(worker, _pack_message(MSG_POOL_PING, {}))
             self._refresh_per_worker()
 
     async def _on_worker_exit(self, worker: _Worker) -> None:
@@ -730,7 +816,7 @@ class AnnotationPool:
         for pending in captured:
             replacement.inflight[pending.id] = pending
             self.stats.redispatches += 1
-            await self._send(replacement, MSG_POOL_REQUEST, pending.payload())
+            await self._send(replacement, pending.frame)
 
     # ------------------------------------------------------------------- report
     def _refresh_per_worker(self) -> None:

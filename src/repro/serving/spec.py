@@ -1,12 +1,12 @@
 """Typed serving configuration: frozen spec dataclasses over the spec strings.
 
 The serving layer grew up on **spec strings** — ``"multiprocess:8+shm"``,
-``"tcp://worker-a:7071"`` — because they travel well (CLI flags, env vars,
-benchmark JSON).  They stay first-class.  What this module adds is the typed
-form underneath: a small family of frozen dataclasses that parse from and
-print back to exactly those strings, so programmatic callers stop growing
-keyword sprawl and string-assembling code, and the two forms can never
-drift (``str(ServingSpec.parse(s)) == s`` for every canonical spec string —
+``"pool:4"`` — because they travel well (CLI flags, env vars, benchmark
+JSON).  They stay first-class.  What this module adds is the typed form
+underneath: a small family of frozen dataclasses that parse from and print
+back to exactly those strings, so programmatic callers stop growing keyword
+sprawl and string-assembling code, and the two forms can never drift
+(``str(ServingSpec.parse(s)) == s`` for every canonical spec string —
 pinned by ``tests/test_pool.py``).
 
 Grammar (canonical forms; every documented spec string in
@@ -14,17 +14,16 @@ docs/SERVING.md round-trips)::
 
     serving   := [ "pool:" N "@" ] backend | "pool:" N
     backend   := "serial" | "multiprocess" [ ":" workers ] [ "+" transport ]
-    transport := "pickle" | "shm" | "tcp" [ "://" host ":" port { "," host ":" port } ]
+    transport := "pickle" | "shm"
 
 This module is the only parser of that grammar.  Every ``resolve_*`` entry
 point and serving constructor accepts either form and parses strings here:
 :func:`repro.serving.backends.resolve_backend` takes a
-:class:`BackendSpec` (or :class:`ServingSpec`),
-:func:`repro.serving.transport.resolve_transport` and
-:meth:`repro.serving.net.NetTransport.from_spec` a :class:`TransportSpec`
-(``$REPRO_NET_PEERS`` is read with the same peer grammar), and
+:class:`BackendSpec` (or :class:`ServingSpec`), and
 :class:`~repro.serving.pool.AnnotationPool` a :class:`PoolSpec` /
-:class:`ServingSpec`.
+:class:`ServingSpec`.  A transport is a validated name on
+:attr:`BackendSpec.transport`, which
+:func:`repro.serving.transport.resolve_transport` turns into an instance.
 """
 
 from __future__ import annotations
@@ -35,62 +34,12 @@ from repro.core.errors import ConfigurationError
 
 __all__ = [
     "BackendSpec",
-    "TransportSpec",
     "PoolSpec",
     "ServingSpec",
 ]
 
 _BACKEND_NAMES = ("serial", "multiprocess")
-_TRANSPORT_NAMES = ("pickle", "shm", "tcp")
-
-
-def _parse_peers(text: str, spec: str) -> tuple[tuple[str, int], ...]:
-    """``host:port[,host:port...]`` → peer tuples (strict: ports are ints)."""
-    peers = []
-    for item in text.split(","):
-        host, sep, port = item.strip().rpartition(":")
-        if not sep or not host:
-            raise ConfigurationError(
-                f"invalid peer {item!r} in transport spec {spec!r}; expected host:port"
-            )
-        try:
-            peers.append((host, int(port)))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"invalid peer port {port!r} in transport spec {spec!r}"
-            ) from exc
-    return tuple(peers)
-
-
-@dataclass(frozen=True)
-class TransportSpec:
-    """A shard transport: ``pickle`` | ``shm`` | ``tcp[://host:port,...]``."""
-
-    name: str = "pickle"
-    #: ``(host, port)`` worker peers; only meaningful for the ``tcp``
-    #: transport (empty = peers come from ``$REPRO_NET_PEERS``).
-    peers: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.name not in _TRANSPORT_NAMES:
-            raise ConfigurationError(
-                f"unknown transport {self.name!r}; expected one of {list(_TRANSPORT_NAMES)}"
-            )
-        if self.peers and self.name != "tcp":
-            raise ConfigurationError(
-                f"transport {self.name!r} does not take peers (only 'tcp' does)"
-            )
-
-    @classmethod
-    def parse(cls, spec: str) -> "TransportSpec":
-        if spec.startswith("tcp://"):
-            return cls(name="tcp", peers=_parse_peers(spec[len("tcp://") :], spec))
-        return cls(name=spec)
-
-    def __str__(self) -> str:
-        if self.peers:
-            return "tcp://" + ",".join(f"{host}:{port}" for host, port in self.peers)
-        return self.name
+_TRANSPORT_NAMES = ("pickle", "shm")
 
 
 @dataclass(frozen=True)
@@ -99,7 +48,9 @@ class BackendSpec:
 
     name: str = "serial"
     workers: int | None = None
-    transport: TransportSpec | None = None
+    #: Shard transport name (``"pickle"`` or ``"shm"``); ``None`` is the
+    #: pickle default, left out of the string form.
+    transport: str | None = None
 
     def __post_init__(self) -> None:
         if self.name not in _BACKEND_NAMES:
@@ -109,6 +60,10 @@ class BackendSpec:
             )
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("backend workers must be at least 1")
+        if self.transport is not None and self.transport not in _TRANSPORT_NAMES:
+            raise ConfigurationError(
+                f"unknown transport {self.transport!r}; expected one of {list(_TRANSPORT_NAMES)}"
+            )
         if self.name == "serial" and (self.workers is not None or self.transport is not None):
             raise ConfigurationError(
                 "the serial backend runs in the calling thread: it takes no "
@@ -123,8 +78,7 @@ class BackendSpec:
             workers = int(workers_text) if workers_text else None
         except ValueError as exc:
             raise ConfigurationError(f"invalid worker count in backend spec {spec!r}") from exc
-        transport = TransportSpec.parse(transport_text) if transport_text else None
-        return cls(name=name, workers=workers, transport=transport)
+        return cls(name=name, workers=workers, transport=transport_text or None)
 
     def __str__(self) -> str:
         text = self.name

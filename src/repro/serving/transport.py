@@ -50,7 +50,7 @@ import struct
 import threading
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import shared_memory
 from typing import Callable
 
@@ -80,9 +80,6 @@ __all__ = [
     "ColumnBlock",
     "PredictionBlockCodec",
     "UnsupportedPayloadError",
-    "encode_shard_block",
-    "encode_result_records",
-    "open_block",
     "resolve_transport",
     "transport_stats",
     "reset_transport_stats",
@@ -718,34 +715,9 @@ class TransportStats:
     last_fallback_reason: str = ""
     segments_created: int = 0
     segments_unlinked: int = 0
-    #: Shards whose cascade actually ran on a remote peer (net transport).
-    remote_shards: int = 0
-    #: Shards that were meant for a peer but ran locally after a network
-    #: failure (unreachable peer, torn/corrupt frame, deadline) — the net
-    #: transport's per-shard graceful-degradation counter.
-    local_fallbacks: int = 0
-    #: Framed bytes that actually crossed a socket, per direction.
-    net_bytes_out: int = 0
-    net_bytes_in: int = 0
-    #: Connection attempts beyond the first (bounded reconnect-with-backoff).
-    reconnects: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "bytes_shipped": self.bytes_shipped,
-            "shm_bytes": self.shm_bytes,
-            "pickle_fallbacks": self.pickle_fallbacks,
-            "result_pickle_fallbacks": self.result_pickle_fallbacks,
-            "last_fallback_reason": self.last_fallback_reason,
-            "segments_created": self.segments_created,
-            "segments_unlinked": self.segments_unlinked,
-            "remote_shards": self.remote_shards,
-            "local_fallbacks": self.local_fallbacks,
-            "net_bytes_out": self.net_bytes_out,
-            "net_bytes_in": self.net_bytes_in,
-            "reconnects": self.reconnects,
-        }
+        return asdict(self)
 
 
 #: Process-wide counters per transport name, summed by
@@ -795,11 +767,10 @@ def _unlink_segment_name(name: str) -> bool:
     return True
 
 
-def encode_shard_block(items: list, max_bytes: int, limit: str) -> tuple:
+def encode_shard_block(items: list, max_bytes: int) -> tuple:
     """``(blob, "")`` with *items* as one column block, or ``(None, reason)``
     when the shard must be pickled: its items are not tables, a cell type
-    is unsupported, or the block exceeds *max_bytes* (named *limit* in the
-    reason)."""
+    is unsupported, or the block exceeds *max_bytes*."""
     if not all(isinstance(item, Table) for item in items):
         return None, "shard items are not tables"
     try:
@@ -807,7 +778,7 @@ def encode_shard_block(items: list, max_bytes: int, limit: str) -> tuple:
     except UnsupportedPayloadError as exc:
         return None, str(exc)
     if len(blob) > max_bytes:
-        return None, f"encoded shard ({len(blob)} bytes) exceeds {limit}"
+        return None, f"encoded shard ({len(blob)} bytes) exceeds max_segment_bytes"
     return blob, ""
 
 
@@ -843,7 +814,7 @@ class Transport(ABC):
     def __init__(self) -> None:
         self.stats = TransportStats()
         self._lock = threading.Lock()
-        # repro-lint: disable=RL004 uid prefix only names segments and wire messages; never reaches results
+        # repro-lint: disable=RL004 uid prefix only names shm segments; never reaches results
         self._uid_prefix = f"{os.getpid()}-{os.urandom(3).hex()}"
         self._uid_counter = itertools.count()
 
@@ -985,7 +956,7 @@ class ShmTransport(Transport):
     def encode_shard(self, items: list) -> tuple:
         uid = self._next_uid()
         self._count(shards=1)
-        blob, reason = encode_shard_block(items, self.max_segment_bytes, "max_segment_bytes")
+        blob, reason = encode_shard_block(items, self.max_segment_bytes)
         if blob is None:
             self._fallback(reason)
             payload = ("pickle", uid, pickle.dumps(items, _PICKLE_PROTOCOL))
@@ -1087,27 +1058,21 @@ _TRANSPORTS: dict = {
 def resolve_transport(transport: "Transport | str | None") -> Transport:
     """Normalise a transport argument into a :class:`Transport` instance.
 
-    Accepts an instance (returned unchanged), a name — ``"pickle"``,
-    ``"shm"`` or ``"tcp"`` (peers from ``$REPRO_NET_PEERS``) — a peer spec
-    like ``"tcp://host:port[,host2:port2]"``, a typed
-    :class:`~repro.serving.spec.TransportSpec`, or ``None`` (the pickle
-    baseline).  Strings are parsed by :meth:`TransportSpec.parse
-    <repro.serving.spec.TransportSpec.parse>`, the one spec grammar.
+    Accepts an instance (returned unchanged), a name — ``"pickle"`` or
+    ``"shm"``, as carried by :attr:`BackendSpec.transport
+    <repro.serving.spec.BackendSpec.transport>` — or ``None`` (the pickle
+    baseline).
     """
     if transport is None:
         return PickleTransport()
     if isinstance(transport, Transport):
         return transport
-    from repro.serving.spec import TransportSpec  # local: spec is leaf-level
-
     if isinstance(transport, str):
-        transport = TransportSpec.parse(transport)
-    if isinstance(transport, TransportSpec):
-        if transport.name == "tcp":
-            from repro.serving import net  # local import: net imports this module
-
-            return net.NetTransport.from_spec(transport)
-        return _TRANSPORTS[transport.name]()
+        if transport not in _TRANSPORTS:
+            raise ConfigurationError(
+                f"unknown transport {transport!r}; expected one of {list(_TRANSPORTS)}"
+            )
+        return _TRANSPORTS[transport]()
     raise ConfigurationError(
         f"transport must be a Transport, a name, or None, got {type(transport).__name__}"
     )

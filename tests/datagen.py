@@ -1,9 +1,9 @@
 """Shared seeded data generators for codec / kernel / transport tests.
 
 One canonical source for the "every supported cell type" table and for
-property-style randomized tables and predictions, so ``test_transport.py``,
-``test_colblock_kernels.py`` and ``test_net_transport.py`` fuzz the same
-value space instead of each maintaining an ad-hoc builder.  Everything is
+property-style randomized tables and predictions, so ``test_transport.py``
+and ``test_colblock_kernels.py`` fuzz the same value space instead of each
+maintaining an ad-hoc builder.  Everything is
 driven by an explicit ``random.Random`` so failures reproduce from the seed.
 """
 

@@ -14,7 +14,11 @@ The acceptance gates pinned here:
   directly, including across a worker death.
 * **Supervision drill** — SIGKILL a worker mid-flight: the pool detects the
   death, restarts the slot, re-dispatches the in-flight requests, and no
-  request is lost (faultnet-style fault injection, process edition).
+  request is lost.
+* **Framing** — the SGN1 reader rejects every malformed frame (bad magic,
+  unknown type, oversize, torn, corrupt payload) as :class:`FrameError`.
+* **Frame bound** — a request or result too large for one frame fails that
+  request alone; it never reaches a reader, so no worker dies for it.
 * **Clean shutdown** — a pool that served requests shuts down in well under
   a second and every worker exits 0.
 * **Stats vocabulary** — every ``summary()`` shares the
@@ -25,8 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import os
+import pickle
 import re
 import signal
+import socket
 import time
 from collections import Counter
 from pathlib import Path
@@ -34,6 +40,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import ConfigurationError, ServingError
+from repro.core.table import Table
 from repro.serving import (
     AnnotationFrontend,
     AnnotationPool,
@@ -42,11 +49,22 @@ from repro.serving import (
     FrontendConfig,
     PoolSpec,
     ServingSpec,
-    TransportSpec,
     resolve_backend,
     resolve_transport,
 )
-from repro.serving.pool import _rendezvous_slot
+from repro.serving import pool as pool_module
+from repro.serving.pool import (
+    FRAME_HEADER,
+    FRAME_MAGIC,
+    MSG_POOL_ERROR,
+    MSG_POOL_REQUEST,
+    MSG_POOL_RESULT,
+    FrameError,
+    _rendezvous_slot,
+    _serve_one,
+    pack_frame,
+    read_frame_async,
+)
 from repro.serving.stats import render_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -60,8 +78,6 @@ DOCUMENTED_SPECS = [
     "multiprocess:8",
     "multiprocess:8+shm",
     "multiprocess+pickle",
-    "multiprocess:8+tcp://worker-a:7071,worker-b:7071",
-    "multiprocess:8+tcp",
     "pool:4",
     "pool:4@multiprocess:2+shm",
 ]
@@ -92,6 +108,8 @@ MALFORMED_SPECS = [
     "threaded:x",
     "multiprocess:0",
     "multiprocess:2+arrow",
+    "multiprocess:8+tcp://worker-a:7071,worker-b:7071",
+    "multiprocess:8+tcp",
     "multiprocess:2+tcp://",
     "multiprocess:2+tcp://nohost",
     "multiprocess:2+tcp://h:not-a-port",
@@ -143,10 +161,10 @@ class TestServingSpec:
         assert {"serial", "multiprocess:8+shm", "pool:4"} <= found
 
     def test_component_parsers(self):
-        backend = BackendSpec.parse("multiprocess:4+tcp://h:7071")
+        backend = BackendSpec.parse("multiprocess:4+shm")
         assert backend.workers == 4
-        assert backend.transport == TransportSpec(name="tcp", peers=(("h", 7071),))
-        assert str(backend) == "multiprocess:4+tcp://h:7071"
+        assert backend.transport == "shm"
+        assert str(backend) == "multiprocess:4+shm"
         assert str(PoolSpec.parse("pool:3")) == "pool:3"
         assert str(PoolSpec.parse("pool")) == "pool:2"  # default worker count
 
@@ -155,12 +173,11 @@ class TestServingSpec:
             with pytest.raises(ConfigurationError):
                 ServingSpec.parse(bad)
         with pytest.raises(ConfigurationError):
-            TransportSpec.parse("tcp://missing-port")
+            BackendSpec(name="multiprocess", transport="arrow")
 
-    def test_parse_and_resolve_accept_the_same_strings(self, monkeypatch):
+    def test_parse_and_resolve_accept_the_same_strings(self):
         """One grammar: the typed parser and ``resolve_backend`` agree on
         every documented spec and every malformed one."""
-        monkeypatch.setenv("REPRO_NET_PEERS", "127.0.0.1:9001")
 
         def accepts(entry_point, spec_string) -> bool:
             try:
@@ -180,7 +197,7 @@ class TestServingSpec:
         assert resolve_backend(ServingSpec.parse("multiprocess:2")).max_workers == 2
         assert resolve_backend(BackendSpec.parse("multiprocess:2")).name == "multiprocess"
         assert resolve_backend(ServingSpec.parse("serial")).name == "serial"
-        assert resolve_transport(TransportSpec.parse("shm")).name == "shm"
+        assert resolve_transport("shm").name == "shm"
 
     def test_frontend_config_validates(self):
         config = FrontendConfig(tenant_rate=None, default_deadline=None).validate()
@@ -313,6 +330,143 @@ class TestAnnotationPool:
         stats = asyncio.run(drive())
         assert stats.rejected_total == 2
         assert stats.completed_total == 1
+
+
+# ------------------------------------------------------------------- framing
+class TestAsyncFraming:
+    """Every malformed frame is rejected by :func:`read_frame_async`, the
+    reader both ends of the pool use, before anything is unpickled."""
+
+    @staticmethod
+    def _read(wire: bytes, *, close: bool = True):
+        """Send *wire* down a socketpair, then read one frame from it async."""
+        left, right = socket.socketpair()
+
+        async def drive():
+            reader, writer = await asyncio.open_connection(sock=right)
+            try:
+                return await read_frame_async(reader, 1 << 20)
+            finally:
+                writer.close()
+
+        try:
+            left.sendall(wire)
+            if close:
+                left.close()
+            return asyncio.run(drive())
+        finally:
+            left.close()
+
+    def test_roundtrip(self):
+        frame = pack_frame(MSG_POOL_REQUEST, b"payload")
+        msg_type, payload, nbytes = self._read(frame)
+        assert (msg_type, payload) == (MSG_POOL_REQUEST, b"payload")
+        assert nbytes == len(frame) == FRAME_HEADER.size + len(b"payload")
+
+    def test_empty_payload_roundtrips(self):
+        assert self._read(pack_frame(MSG_POOL_RESULT, b""))[:2] == (MSG_POOL_RESULT, b"")
+
+    def test_bad_magic_rejected(self):
+        with pytest.raises(FrameError, match="magic"):
+            self._read(FRAME_HEADER.pack(b"NOPE", MSG_POOL_REQUEST, 0, 0))
+
+    def test_unknown_message_type_rejected(self):
+        with pytest.raises(FrameError, match="message type"):
+            self._read(FRAME_HEADER.pack(FRAME_MAGIC, 42, 0, 0))
+
+    def test_oversized_frame_rejected_before_reading_payload(self):
+        # The socket stays open: the reader must reject on the header alone.
+        with pytest.raises(FrameError, match="max_message_bytes"):
+            self._read(
+                FRAME_HEADER.pack(FRAME_MAGIC, MSG_POOL_REQUEST, 1 << 30, 0), close=False
+            )
+
+    def test_crc_mismatch_rejected(self):
+        mutated = bytearray(pack_frame(MSG_POOL_REQUEST, b"payload"))
+        mutated[-1] ^= 0xFF
+        with pytest.raises(FrameError, match="crc"):
+            self._read(bytes(mutated))
+
+    def test_torn_frame_rejected(self):
+        with pytest.raises(FrameError, match="mid-frame"):
+            self._read(FRAME_HEADER.pack(FRAME_MAGIC, MSG_POOL_REQUEST, 100, 0) + b"only-ten-b")
+
+    def test_clean_eof_returns_none_when_allowed(self):
+        async def drive(sock):
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                assert await read_frame_async(reader, 1 << 20, eof_ok=True) is None
+                with pytest.raises(FrameError):
+                    await read_frame_async(reader, 1 << 20)
+            finally:
+                writer.close()
+
+        left, right = socket.socketpair()
+        left.close()
+        asyncio.run(drive(right))
+
+
+class TestFrameBound:
+    """A message over ``_MAX_POOL_MESSAGE_BYTES`` is refused where it is
+    packed: the reader on the other end would exit on it."""
+
+    #: Above every small eval table's request, result and pong; far below
+    #: the oversized table's request.
+    BOUND = 64 << 10
+
+    def test_oversized_request_fails_alone_and_kills_no_worker(
+        self, pretrained_typer, tables, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_MAX_POOL_MESSAGE_BYTES", self.BOUND)
+        serial = _comparable([pretrained_typer.annotate(tables[0])])
+        oversized = Table.from_rows(
+            ["note"], [[f"row {index}"] for index in range(20_000)], name="oversized"
+        )
+
+        async def drive():
+            spec = PoolSpec(workers=1, heartbeat_interval=0.05)
+            async with AnnotationPool(pretrained_typer, spec) as pool:
+                started = time.monotonic()
+                with pytest.raises(ServingError, match="frame bound") as caught:
+                    await asyncio.wait_for(pool.annotate(oversized), 10.0)
+                elapsed = time.monotonic() - started
+                inflight = [len(worker.inflight) for worker in pool._workers]
+                await asyncio.sleep(0.2)  # a few heartbeats: a death would show
+                follow_up = await pool.annotate(tables[0].copy())
+                return caught.value, elapsed, inflight, follow_up, pool.stats
+
+        error, elapsed, inflight, follow_up, stats = asyncio.run(drive())
+        assert str(self.BOUND) in str(error)
+        assert elapsed < 1.0, f"oversized request took {elapsed:.2f}s to fail"
+        assert inflight == [0]
+        assert stats.worker_deaths == stats.restarts == stats.redispatches == 0
+        assert stats.errors_total == 1
+        assert _comparable([follow_up]) == serial
+
+    def test_oversized_result_is_answered_with_an_error_frame(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_MAX_POOL_MESSAGE_BYTES", 1 << 10)
+
+        class HugeResults:
+            async def annotate(self, table, customer_id=None, deadline=None):
+                return "x" * (4 << 10)
+
+        async def drive():
+            left, right = socket.socketpair()
+            reader, reader_side = await asyncio.open_connection(sock=left)
+            _, writer = await asyncio.open_connection(sock=right)
+            request = {"id": 7, "table": None, "customer_id": None, "deadline_at": None}
+            try:
+                await _serve_one(HugeResults(), request, writer, asyncio.Lock())
+                return await read_frame_async(reader, 1 << 10)
+            finally:
+                writer.close()
+                reader_side.close()
+
+        msg_type, payload, _ = asyncio.run(drive())
+        assert msg_type == MSG_POOL_ERROR
+        message = pickle.loads(payload)
+        assert message["id"] == 7 and message["kind"] == "serving"
+        assert "frame bound" in message["message"]
 
 
 # ------------------------------------------------------------- frontend mode

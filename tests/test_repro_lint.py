@@ -359,11 +359,11 @@ import os
 
 def configured():
     kernels = os.environ.get("REPRO_COLUMNAR_KERNELS")
-    peers = os.getenv("REPRO_NET_PEERS")
-    return kernels, peers
+    again = os.getenv("REPRO_COLUMNAR_KERNELS")
+    return kernels, again
 
 def field(name):
-    return os.environ.get(f"REPRO_NET_{name.upper()}")
+    return os.environ.get(f"REPRO_COLUMNAR_{name.upper()}")
 """
 
 
@@ -396,7 +396,7 @@ def test_rl006_reports_stale_registry_entries(tmp_path):
     result = _lint(tmp_path, "import os\n", EnvKnobChecker())
     assert result.findings, "expected stale-registry findings"
     assert all(f.path == "src/repro/analysis/knobs.py" for f in result.findings)
-    assert any("REPRO_NET_PEERS" in f.message for f in result.findings)
+    assert any("REPRO_COLUMNAR_KERNELS" in f.message for f in result.findings)
 
 
 # ------------------------------------------------------------------- RL007

@@ -91,7 +91,7 @@ def test_doc_links_knob_table_drift_fails(doc_repo, capsys):
     """A hand-edited default in the embedded table fails the docs gate."""
     mod, root = doc_repo
     (root / "README.md").write_text("no links\n", encoding="utf-8")
-    doctored = render_knob_table().replace("`2.0`", "`9.9`", 1)
+    doctored = render_knob_table().replace("`1`", "`0`", 1)
     assert doctored != render_knob_table()
     serving = root / "docs" / "SERVING.md"
     serving.write_text(
@@ -108,7 +108,7 @@ def test_doc_links_knob_table_removed_row_fails(doc_repo, capsys):
     mod, root = doc_repo
     (root / "README.md").write_text("no links\n", encoding="utf-8")
     rows = render_knob_table().splitlines()
-    removed = [line for line in rows if "REPRO_NET_PEERS" not in line]
+    removed = [line for line in rows if "REPRO_COLUMNAR_KERNELS" not in line]
     assert len(removed) == len(rows) - 1
     (root / "docs" / "SERVING.md").write_text(
         f"# Ops\n\n{TABLE_BEGIN}\n" + "\n".join(removed) + f"\n{TABLE_END}\n",
@@ -117,7 +117,7 @@ def test_doc_links_knob_table_removed_row_fails(doc_repo, capsys):
     mod.KNOB_TABLE_FILES = ["docs/SERVING.md"]
     assert mod.main() == 1
     out = capsys.readouterr().out
-    assert "REPRO_NET_PEERS" in out
+    assert "REPRO_COLUMNAR_KERNELS" in out
 
 
 def test_doc_links_knob_table_missing_markers_fails(doc_repo, capsys):
