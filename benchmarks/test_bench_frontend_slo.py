@@ -198,7 +198,7 @@ def test_frontend_slo_overload(benchmark, sigmatyper, load_corpus, record_result
     ]
 
     loop = asyncio.new_event_loop()
-    service = AnnotationService(sigmatyper, max_batch_delay=0.0, slo=slo)
+    service = AnnotationService(sigmatyper, slo=slo)
     frontend = AnnotationFrontend(service, config)
     phases: dict[str, object] = {}
 
@@ -300,7 +300,7 @@ def test_frontend_slo_overload(benchmark, sigmatyper, load_corpus, record_result
         # against a rate-unlimited front end — the timing loop itself would
         # otherwise trip the main front end's token bucket, which is tuned
         # to shed exactly this kind of full-speed closed loop.
-        bench_service = AnnotationService(sigmatyper, max_batch_delay=0.0)
+        bench_service = AnnotationService(sigmatyper)
         bench_frontend = AnnotationFrontend(bench_service, FrontendConfig())
         bench_host, bench_port = loop.run_until_complete(_start(bench_frontend))
         state: dict[str, object] = {"connection": None}
@@ -421,7 +421,7 @@ def _measure_http_capacity(sigmatyper, bodies, serial_capacity: float) -> float:
     """Closed-loop rate through an unlimited front end (requests/second)."""
 
     async def probe() -> float:
-        service = AnnotationService(sigmatyper, max_batch_delay=0.0)
+        service = AnnotationService(sigmatyper)
         frontend = AnnotationFrontend(service, FrontendConfig())
         try:
             await frontend.start()
@@ -491,7 +491,7 @@ async def _degrade_probe(sigmatyper, bodies, seconds_per_table: float):
         step=0.05,
         min_confidence_threshold=0.60,
     )
-    service = AnnotationService(sigmatyper, max_batch_delay=0.0, slo=slo)
+    service = AnnotationService(sigmatyper, slo=slo)
     frontend = AnnotationFrontend(
         service,
         FrontendConfig(max_pending_total=4096, max_pending_per_tenant=4096),

@@ -1,21 +1,25 @@
-"""E17: worker pool — rendezvous affinity, parity, and a kill drill.
+"""E17: worker pool — least-loaded routing, parity, and a kill drill.
 
 The :class:`~repro.serving.pool.AnnotationPool` dispatcher puts N annotation
-processes behind one admission layer and routes each table by rendezvous
-hashing on its smallest column content hash.  This experiment pins the three
-properties that make the pool deployable:
+processes behind one admission layer and sends each request to the live
+worker with the fewest requests in flight, ties going to the lowest slot.
+This experiment pins the properties that make the pool deployable:
 
-* **affinity** — on a repeat-heavy tenant mix (the paper's serving shape:
-  the same customer tables re-annotated many times) every worker serves
-  exactly the requests ``_rendezvous_slot`` predicts for the mix, read from
-  the workers' own heartbeat pongs, and no request escapes its slot;
-* **parity** — pool predictions are bit-identical to the serial path, on the
-  routed leg and across a worker death;
-* **supervision** — a SIGKILLed worker's in-flight requests are re-dispatched
-  to its replacement with zero lost requests.
+* **routing** — sent one request at a time, every request lands on slot 0
+  (an idle pool keeps one worker warm); sent all at once, the requests split
+  evenly (per-worker counts within 10% of the burst).  Counts are read from
+  the workers' own heartbeat pongs.  Both hold on a repeat-heavy mix (the
+  same customer tables re-annotated many times) and on a mix of distinct
+  tables with mostly dirty, never-seen headers;
+* **parity** — pool predictions are bit-identical to the serial path, on
+  every leg and across a worker death;
+* **supervision** — a SIGKILLed worker's in-flight requests are
+  re-dispatched with zero lost requests.
 
-Wall-clock (columns/s) is reported, not gated: on a 1- or 2-CPU machine it
-is scheduling noise (canonical caveat in docs/SERVING.md).
+One in-process :class:`~repro.serving.service.AnnotationService` serves the
+same requests beside each routing leg.  Wall-clock (columns/s) is reported
+for every run and gated for none: on a 1- or 2-CPU machine it is scheduling
+noise (canonical caveat in docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -23,14 +27,15 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import pickle
 import signal
 import time
 from pathlib import Path
 
 from repro.corpus import GitTablesConfig, GitTablesGenerator
 from repro.evaluation import format_table
-from repro.serving import AnnotationPool, PoolSpec, available_workers
-from repro.serving.pool import _rendezvous_slot
+from repro.serving import AnnotationPool, AnnotationService, PoolSpec, available_workers
+from repro.serving.pool import MSG_POOL_REQUEST, _pack_message
 
 #: Machine-readable E17 results, committed at the repo root alongside the
 #: other benchmark artifacts.
@@ -40,10 +45,17 @@ BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_pool_routing.j
 #: each round re-requesting the exact bytes of the previous one.
 POOL_TABLES = 8
 ROUNDS = 12
+#: Distinct mix: as many requests, every table different, nine in ten with
+#: dirty headers the pretrained matcher has never seen.
+DISTINCT_TABLES = POOL_TABLES * ROUNDS
+DIRTY_HEADER_PROBABILITY = 0.9
 POOL_WORKERS = 2
-#: Heartbeat period of the routed leg: the workers' service counters ride
+#: Heartbeat period of the routing legs: the workers' service counters ride
 #: back on heartbeat pongs.
 HEARTBEAT_SECONDS = 0.05
+#: The all-in-flight gate: per-worker counts differ by at most this share
+#: of the burst.
+BALANCE_TOLERANCE = 0.10
 
 
 def _fresh(tables):
@@ -69,63 +81,118 @@ async def _worker_requests(pool: AnnotationPool, timeout: float = 10.0) -> list[
     return [per_worker[slot]["service"]["requests_total"] for slot in sorted(per_worker)]
 
 
+async def _drive(server, mix, all_in_flight: bool):
+    """Send *mix* one request at a time, or all at once; (results, seconds)."""
+    started = time.perf_counter()
+    if all_in_flight:
+        results = await asyncio.gather(*[server.annotate(t) for t in _fresh(mix)])
+    else:
+        results = [await server.annotate(t) for t in _fresh(mix)]
+    return list(results), time.perf_counter() - started
+
+
+def _pool_leg(typer, mix, all_in_flight: bool):
+    """One pool:2 run; (results, seconds, per-worker requests, stats)."""
+
+    async def run():
+        spec = PoolSpec(workers=POOL_WORKERS, heartbeat_interval=HEARTBEAT_SECONDS)
+        async with AnnotationPool(typer, spec) as pool:
+            results, elapsed = await _drive(pool, mix, all_in_flight)
+            return results, elapsed, await _worker_requests(pool), pool.stats
+
+    return asyncio.run(run())
+
+
+def _service_leg(typer, mix, all_in_flight: bool):
+    """The same requests through one in-process service; (results, seconds)."""
+
+    async def run():
+        async with AnnotationService(typer) as service:
+            return await _drive(service, mix, all_in_flight)
+
+    return asyncio.run(run())
+
+
 def test_pool_routing(benchmark, sigmatyper, record_result):
     tables = GitTablesGenerator(
         GitTablesConfig(num_tables=POOL_TABLES, seed=424242)
     ).generate_corpus().tables
-    num_columns = sum(table.num_columns for table in tables)
+    distinct = GitTablesGenerator(
+        GitTablesConfig(
+            num_tables=DISTINCT_TABLES,
+            seed=171717,
+            dirty_header_probability=DIRTY_HEADER_PROBABILITY,
+        )
+    ).generate_corpus().tables
+    repeat_columns = sum(table.num_columns for table in tables) * ROUNDS
+    distinct_columns = sum(table.num_columns for table in distinct)
 
-    # Warm the model-level caches once so both legs face the same model
-    # state; per-column caches stay cold because every request is a copy.
+    # Repeat mix: warm the model-level caches once so every leg faces the
+    # same model state; per-column caches stay cold because every request is
+    # a copy.
     sigmatyper.annotate_corpus(_fresh(tables))
-    reference = _comparable([sigmatyper.annotate(t) for t in _fresh(tables)])
-    mix = tables * ROUNDS
-    expected = reference * ROUNDS
-
-    # The affinity prediction: the slot rendezvous hashing picks for each
-    # table's smallest column content hash, counted over the mix.
-    slots = list(range(POOL_WORKERS))
-    predicted = [0] * POOL_WORKERS
-    for table in mix:
-        key = min(column.content_hash() for column in table.columns)
-        predicted[_rendezvous_slot(key, slots)] += 1
+    repeat_mix = tables * ROUNDS
+    repeat_reference = _comparable([sigmatyper.annotate(t) for t in _fresh(tables)]) * ROUNDS
+    # Distinct mix: each run gets its own unpickled copy of the typer, whose
+    # header caches have never seen these tables.  The serial reference runs
+    # last, so no run inherits its warmth.
+    snapshot = pickle.dumps(sigmatyper)
 
     rows = []
+    legs = {}
 
-    def add_row(label, elapsed, stats, columns):
+    def add_row(label, elapsed, columns, observed=None, stats=None):
         rows.append(
             {
                 "configuration": label,
                 "seconds_total": round(elapsed, 3),
                 "columns_per_second": round(columns / elapsed, 1),
-                "escapes": stats.escapes,
-                "redispatches": stats.redispatches,
-                "worker_deaths": stats.worker_deaths,
+                "requests_per_worker": observed if observed is not None else "-",
+                "redispatches": stats.redispatches if stats is not None else "-",
+                "worker_deaths": stats.worker_deaths if stats is not None else "-",
             }
         )
 
-    # ---- leg 1: rendezvous routing over the repeat-heavy mix ----------------
-    async def routed_leg():
-        spec = PoolSpec(workers=POOL_WORKERS, heartbeat_interval=HEARTBEAT_SECONDS)
-        async with AnnotationPool(sigmatyper, spec) as pool:
-            started = time.perf_counter()
-            results = []
-            for table in mix:
-                results.append(await pool.annotate(table.copy()))
-            elapsed = time.perf_counter() - started
-            observed = await _worker_requests(pool)
-            return results, elapsed, observed, pool.stats
+    runs = []
+    for mix_name, mix, columns in (
+        ("repeat", repeat_mix, repeat_columns),
+        ("distinct", distinct, distinct_columns),
+    ):
+        for all_in_flight in (False, True):
+            shape = "all in flight" if all_in_flight else "one at a time"
+            typer = sigmatyper if mix_name == "repeat" else pickle.loads(snapshot)
+            results, elapsed, observed, stats = _pool_leg(typer, mix, all_in_flight)
+            assert stats.errors_total == 0, stats.to_dict()
+            if all_in_flight:
+                spread = max(observed) - min(observed)
+                assert spread <= BALANCE_TOLERANCE * len(mix), (
+                    f"{mix_name} burst split {observed}: spread {spread} exceeds "
+                    f"{BALANCE_TOLERANCE:.0%} of {len(mix)}"
+                )
+            else:
+                assert observed[0] == len(mix) and not any(observed[1:]), (
+                    f"{mix_name} mix one at a time: workers served {observed}; an idle "
+                    "pool must keep every request on slot 0"
+                )
+            legs[f"{mix_name}, {shape}"] = observed
+            add_row(f"pool:{POOL_WORKERS}, {mix_name}, {shape}", elapsed, columns, observed, stats)
+            runs.append((mix_name, results))
 
-    results, elapsed, observed, stats = asyncio.run(routed_leg())
-    assert _comparable(results) == expected, "pool routing diverged from the serial path"
-    assert stats.errors_total == 0
-    assert stats.escapes == 0, stats.to_dict()
-    assert observed == predicted, (
-        f"workers served {observed} requests; rendezvous predicts {predicted}"
+            typer = sigmatyper if mix_name == "repeat" else pickle.loads(snapshot)
+            service_results, service_elapsed = _service_leg(typer, mix, all_in_flight)
+            add_row(f"service, {mix_name}, {shape}", service_elapsed, columns)
+            runs.append((mix_name, service_results))
+
+    distinct_reference = _comparable(
+        [pickle.loads(snapshot).annotate(t) for t in _fresh(distinct)]
     )
-    add_row(f"pool:{POOL_WORKERS} (rendezvous)", elapsed, stats, num_columns * ROUNDS)
+    references = {"repeat": repeat_reference, "distinct": distinct_reference}
+    for mix_name, results in runs:
+        assert _comparable(results) == references[mix_name], (
+            f"a {mix_name}-mix run diverged from the serial path"
+        )
 
-    # ---- leg 2: the supervision drill (SIGKILL mid-flight) ------------------
+    # ---- the supervision drill (SIGKILL mid-flight) -------------------------
     async def kill_drill():
         spec = PoolSpec(workers=POOL_WORKERS, heartbeat_interval=0.05)
         async with AnnotationPool(sigmatyper, spec) as pool:
@@ -140,7 +207,7 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
             return results, elapsed, pool.stats
 
     drill_results, drill_elapsed, drill_stats = asyncio.run(kill_drill())
-    assert _comparable(drill_results) == reference * 2, (
+    assert _comparable(drill_results) == repeat_reference[: 2 * len(tables)], (
         "predictions diverged across the worker death"
     )
     lost_requests = (2 * len(tables)) - drill_stats.completed_total
@@ -148,7 +215,12 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
     assert drill_stats.worker_deaths >= 1
     assert drill_stats.restarts >= 1
     assert drill_stats.redispatches >= 1
-    add_row(f"pool:{POOL_WORKERS} (SIGKILL drill)", drill_elapsed, drill_stats, num_columns * 2)
+    add_row(
+        f"pool:{POOL_WORKERS}, SIGKILL drill",
+        drill_elapsed,
+        repeat_columns // ROUNDS * 2,
+        stats=drill_stats,
+    )
 
     usable_cpus = available_workers()
     record_result(
@@ -156,12 +228,13 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
         format_table(
             rows,
             title=(
-                f"E17 — pool routing over {len(tables)} tables / {num_columns} "
-                f"columns × {ROUNDS} rounds, {POOL_WORKERS} workers, "
-                f"{usable_cpus} usable CPUs (requests per worker: {observed} = "
-                f"rendezvous prediction {predicted}, {stats.escapes} escapes; "
-                f"kill drill: {drill_stats.redispatches} re-dispatched, 0 lost, "
-                f"parity held)"
+                f"E17 — least-loaded pool routing, {POOL_WORKERS} workers, "
+                f"{usable_cpus} usable CPUs; repeat mix {len(tables)} tables × {ROUNDS} "
+                f"rounds ({repeat_columns} columns), distinct mix {len(distinct)} "
+                f"tables ({distinct_columns} columns); requests per worker "
+                + "; ".join(f"{leg}: {observed}" for leg, observed in legs.items())
+                + f"; kill drill: {drill_stats.redispatches} re-dispatched, 0 lost, "
+                "parity held on every run"
             ),
         ),
     )
@@ -171,13 +244,15 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
                 "experiment": "E17_pool_routing",
                 "usable_cpus": usable_cpus,
                 "num_tables": len(tables),
-                "num_columns": num_columns,
                 "rounds": ROUNDS,
+                "num_columns": repeat_columns // ROUNDS,
+                "distinct_tables": len(distinct),
+                "distinct_columns": distinct_columns,
                 "workers": POOL_WORKERS,
                 "configurations": rows,
-                "requests_per_worker": {"predicted": predicted, "observed": observed},
-                "escapes": stats.escapes,
-                "parity": "bit-identical to serial on every leg",
+                "requests_per_worker": legs,
+                "balance_tolerance": BALANCE_TOLERANCE,
+                "parity": "bit-identical to serial on every run",
                 "kill_drill": {
                     "worker_deaths": drill_stats.worker_deaths,
                     "restarts": drill_stats.restarts,
@@ -192,12 +267,12 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
         encoding="utf-8",
     )
 
-    # Representative operation for pytest-benchmark: the per-request routing
-    # decision — rendezvous hashing a table's smallest column hash over the
-    # worker slots (the pure-CPU cost the dispatcher adds to every request).
-    hashes = [column.content_hash() for column in tables[0].columns]
+    # Representative operation for pytest-benchmark: the per-request work the
+    # dispatcher adds — pickling and framing one table for a worker (the
+    # least-loaded choice itself is a min over the worker slots).
+    message = {"id": 1, "table": tables[0], "customer_id": None, "deadline_at": None}
 
-    def route_once():
-        return _rendezvous_slot(min(hashes), slots)
+    def frame_once():
+        return _pack_message(MSG_POOL_REQUEST, message)
 
-    benchmark(route_once)
+    benchmark(frame_once)

@@ -70,7 +70,7 @@ async def demo_service(typer: SigmaTyper, tables) -> None:
     first = tables[0]
     typer.give_feedback("acme", first, first.columns[0].name, "name")
 
-    async with AnnotationService(typer, max_batch_size=16, max_batch_delay=0.01) as service:
+    async with AnnotationService(typer, max_batch_size=16) as service:
         results = await asyncio.gather(
             *[
                 service.annotate(table, customer_id="acme" if index % 2 else None)

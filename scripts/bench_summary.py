@@ -31,7 +31,7 @@ EXPERIMENTS = {
     "E13_shard_transport": ("PR 5", "zero-copy shm column blocks vs pickled shards"),
     "E14_frontend_slo": ("PR 6", "HTTP front end under overload (shedding + SLO degrade)"),
     "E15_columnar_kernels": ("PR 7", "block-native vectorized profiling & featurization"),
-    "E17_pool_routing": ("PR 10", "worker pool: rendezvous routing affinity, kill drill"),
+    "E17_pool_routing": ("PR 10", "worker pool: least-loaded routing, kill drill"),
 }
 
 
@@ -89,11 +89,11 @@ def _headline(experiment: str, data: dict) -> str:
         )
     if experiment == "E17_pool_routing":
         drill = data.get("kill_drill", {})
-        requests = data["requests_per_worker"]
+        legs = "; ".join(f"{leg} {counts}" for leg, counts in data["requests_per_worker"].items())
         return (
-            f"per-worker requests {requests['observed']} (gate: rendezvous "
-            f"prediction {requests['predicted']}) with {data.get('escapes', '?')} "
-            f"escapes, predictions bit-identical on every leg; SIGKILL drill "
+            f"per-worker requests: {legs} (gates: one at a time all on slot 0, "
+            f"all in flight within {data.get('balance_tolerance', 0.1):.0%} of the "
+            f"burst), predictions bit-identical on every run; SIGKILL drill "
             f"re-dispatched {drill.get('redispatches', '?')} in-flight requests "
             f"with {drill.get('lost_requests', '?')} lost"
         )

@@ -43,7 +43,6 @@ from repro.serving import (
     MultiprocessBackend,
     PoolSpec,
     SerialBackend,
-    ServingSpec,
     SloConfig,
     SloController,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "AnnotationFrontend",
     "AnnotationPool",
     "PoolSpec",
-    "ServingSpec",
     "FrontendConfig",
     "SloConfig",
     "SloController",

@@ -1,15 +1,8 @@
-"""RL002: lock acquire/release discipline + fork-safe module locks.
+"""RL002: lock acquire/release discipline.
 
-The PR 4 deadlock class: the write-behind flusher held a store lock at
-``fork()``, so the child inherited a lock nobody would ever release.  Two
-static invariants close that class:
-
-* an explicit ``.acquire()`` must have its ``.release()`` guaranteed by a
-  ``try/finally`` (or be a ``with`` block, which never calls ``.acquire()``
-  in source);
-* a module-level lock in a module that registers at-fork handlers must be
-  re-initialised in the after-fork-in-child handler — an inherited held
-  lock is a wedge.
+An explicit ``.acquire()`` must have its ``.release()`` guaranteed by a
+``try/finally`` (or be a ``with`` block, which never calls ``.acquire()``
+in source): a lock left held on an error path wedges every later caller.
 """
 
 from __future__ import annotations
@@ -17,7 +10,6 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.checkers.common import (
-    call_name,
     dotted_name,
     looks_like_lock,
     release_targets,
@@ -25,47 +17,30 @@ from repro.analysis.checkers.common import (
 )
 from repro.analysis.core import Checker
 
-_LOCK_CONSTRUCTORS = frozenset(
-    {"threading.Lock", "threading.RLock", "Lock", "RLock", "multiprocessing.Lock"}
-)
-
 
 class LockDisciplineChecker(Checker):
     id = "RL002"
     name = "lock-discipline"
     fix_hint = (
         "prefer `with lock:`; if acquire must be explicit, pair it with a "
-        "try/finally releasing the same lock, and re-init module-level locks "
-        "in the after-fork-in-child handler"
+        "try/finally releasing the same lock"
     )
     explain = """\
 RL002 lock-discipline
 
-Two sub-rules, both grounded in the PR 4 flusher-lock fork deadlock:
+Explicit `.acquire()` on a lock-like receiver must have its `.release()`
+guaranteed: either the acquire sits inside a `try` whose `finally` (or
+handlers) release the SAME receiver, or a later sibling statement in the
+same block is such a `try`.  (`with lock:` is always the preferred form and
+never triggers the rule.)  A lock left held on an error path wedges every
+later caller; held across fork(), it wedges the child too.
 
-1. Explicit `.acquire()` on a lock-like receiver must have its `.release()`
-   guaranteed: either the acquire sits inside a `try` whose `finally` (or
-   handlers) release the SAME receiver, or a later sibling statement in the
-   same block is such a `try`.  (`with lock:` is always the preferred form
-   and never triggers the rule.)
-
-2. In any module that calls os.register_at_fork, every module-level
-   `NAME = threading.Lock()/RLock()` must be re-assigned inside an
-   after-fork-in-child handler (a function whose name mentions fork+child).
-   A child that inherits a lock held by a parent-only thread (classically
-   the write-behind flusher) is wedged forever — the exact PR 4 bug.
-
-Cross-function ownership transfers (an at-fork *before* handler acquiring
-locks the *after* handlers release) are legitimate but unprovable statically:
-suppress those sites with the reason naming the releasing function.
+Cross-function ownership transfers (one function acquiring a lock another
+releases) are legitimate but unprovable statically: suppress those sites
+with the reason naming the releasing function.
 """
 
     def check_module(self, module):
-        yield from self._check_acquires(module)
-        yield from self._check_module_locks(module)
-
-    # ------------------------------------------------------- explicit acquire
-    def _check_acquires(self, module):
         for node in ast.walk(module.tree):
             if not (
                 isinstance(node, ast.Call)
@@ -114,46 +89,3 @@ suppress those sites with the reason naming the releasing function.
                 ):
                     return True
         return False
-
-    # --------------------------------------------------- module-level + fork
-    def _check_module_locks(self, module):
-        registers_at_fork = any(
-            isinstance(node, ast.Call)
-            and (call_name(node) or "").endswith("register_at_fork")
-            for node in ast.walk(module.tree)
-        )
-        if not registers_at_fork:
-            return
-        module_locks = {}
-        for stmt in module.tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-                and call_name(stmt.value) in _LOCK_CONSTRUCTORS
-            ):
-                module_locks[stmt.targets[0].id] = stmt
-        if not module_locks:
-            return
-        reinitialised = set()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name.lower()
-            if not ("fork" in name and "child" in name):
-                continue
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            reinitialised.add(target.id)
-        for lock_name, stmt in sorted(module_locks.items()):
-            if lock_name not in reinitialised:
-                yield self.finding(
-                    module,
-                    stmt,
-                    f"module-level lock {lock_name} in a fork-registering module "
-                    "is never re-initialised in an after-fork-in-child handler "
-                    "(inherited held locks wedge the child)",
-                )

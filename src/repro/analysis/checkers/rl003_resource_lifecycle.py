@@ -128,7 +128,7 @@ this dynamically, per run; RL003 checks every path, per commit.
                         module,
                         node,
                         f"{call_name(node)}() bound to `{name}` has no guaranteed "
-                        "close (no with/finally, never escapes this function)",
+                        "close (no with/finally, never leaves this function)",
                     )
                     continue
             if isinstance(parent, ast.Call) and self._adopting(parent):

@@ -70,8 +70,8 @@ Flags nondeterminism sources in production code:
     (sorted/len/sum/min/max/any/all) are fine.
 
 Why: the parity contract says serial == multiprocess == +shm == pool,
-bit-identical.  Content-addressed caching (Column.content_hash),
-codec byte layouts, and the E10-E17 parity gates all assume it.  Legitimate
+bit-identical.  Per-column memos, codec byte layouts, and the E10-E17
+parity gates all assume it.  Legitimate
 process-local uses (e.g. os.urandom in a shm segment NAME that never
 reaches results) carry a suppression naming that fact.
 """

@@ -13,7 +13,6 @@ CSV export — type interpretation is performed lazily by
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -55,7 +54,6 @@ class Column:
     #: descriptive tuple; cleared as one unit by :meth:`invalidate_cache`.
     #: The cached lists are shared with callers and must not be mutated.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _content_hash: str | None = field(default=None, init=False, repr=False, compare=False)
     #: Columnar kernel view over the block layout (``repro.core.colblock``).
     #: ``None`` until resolved; ``_view_checked`` records that resolution ran
     #: so columns without a usable view don't retry on every access.
@@ -113,51 +111,17 @@ class Column:
                 self._data_type = infer_column_type(self.values)
         return self._data_type
 
-    def content_hash(self) -> str:
-        """A stable digest of the column's identity (header plus raw values).
-
-        Two columns with the same name and cell-for-cell equal values share
-        the hash.  The digest is process-independent (``blake2b``, not the
-        salted builtin ``hash``) and distinguishes value types (``1`` vs
-        ``"1"``) — process-independence is what lets the worker pool route
-        a table to the same worker from any dispatcher process.  Memoized
-        until :meth:`invalidate_cache`.
-        """
-        if self._content_hash is None:
-            # Every field is framed with a length prefix, which makes the
-            # encoding injective: no choice of name/values can reproduce
-            # another column's byte stream (a bare delimiter could, since cell
-            # values may contain any character).
-            hasher = hashlib.blake2b(digest_size=16)
-
-            def frame(data: bytes) -> None:
-                hasher.update(len(data).to_bytes(8, "little"))
-                hasher.update(data)
-
-            frame(self.name.encode("utf-8", "surrogatepass"))
-            hasher.update(len(self.values).to_bytes(8, "little"))
-            for value in self.values:
-                if value is None:
-                    hasher.update(b"\x00")
-                    continue
-                hasher.update(b"\x01")
-                frame(type(value).__name__.encode("utf-8", "replace"))
-                frame(str(value).encode("utf-8", "surrogatepass"))
-            self._content_hash = hasher.hexdigest()
-        return self._content_hash
-
     def invalidate_cache(self) -> None:
         """Drop cached derived state after the values were mutated.
 
         Clears the column-private memo, the inferred structural type, and the
-        memoized content hash.  Call this after mutating ``values`` in place;
-        the derived views are otherwise assumed immutable.
+        kernel view.  Call this after mutating ``values`` in place; the
+        derived views are otherwise assumed immutable.
         """
         self._data_type = None
         self._derived.clear()
         self._block_view = None
         self._view_checked = False
-        self._content_hash = None
 
     def _memo(self, key: object, compute: Callable[[], object]) -> object:
         """Return the cached value for *key*, computing it on first access."""
@@ -370,7 +334,6 @@ class Column:
         column.metadata = metadata if metadata is not None else {}
         column._data_type = None
         column._derived = {}
-        column._content_hash = None
         # An explicit kernel view wins; otherwise resolution stays pending so
         # `_kernel_view` can duck-type one off the values sequence.
         column._block_view = block_view

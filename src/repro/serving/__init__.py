@@ -14,8 +14,9 @@ serve production traffic:
   with transparent pickle fallback and airtight segment lifecycle;
 * :mod:`repro.serving.service` — an :class:`AnnotationService` wrapping a
   :class:`~repro.core.sigmatyper.SigmaTyper` with an asyncio request queue,
-  per-customer routing, micro-batching (one fixed window and size cap),
-  per-request deadlines, and graceful (optionally bounded) shutdown;
+  per-customer routing, work-conserving micro-batching (it coalesces only
+  what already queued, up to a size cap), per-request deadlines, and
+  graceful (optionally bounded) shutdown;
 * :mod:`repro.serving.slo` — an :class:`SloController` that treats the
   cascade confidence threshold c as a control variable, stepping it down
   when the observed tail latency breaches its budget (shallower, faster
@@ -28,13 +29,13 @@ serve production traffic:
   SIGTERM drain;
 * :mod:`repro.serving.pool` — :class:`AnnotationPool`, the multi-process
   deployment shape: N forked worker services behind a stateless dispatcher
-  (rendezvous hashing on each table's smallest column content hash, with a
-  load-balance escape hatch), with heartbeat supervision and in-place
-  restart + re-dispatch on a worker death, over crc-checked SGN1 frames on
-  inherited socketpairs — drivable by the front end via ``pool=``;
+  that sends each request to the least-loaded live worker, with heartbeat
+  supervision and in-place restart + re-dispatch on a worker death, over
+  crc-checked SGN1 frames on inherited socketpairs — drivable by the front
+  end via ``pool=``;
 * :mod:`repro.serving.spec` — the typed configuration layer
-  (:class:`ServingSpec` and its :class:`BackendSpec` / :class:`PoolSpec`
-  parts), round-tripping every documented spec string;
+  (:class:`BackendSpec` and :class:`PoolSpec`), round-tripping every
+  documented spec string;
 * :mod:`repro.serving.stats` — the unified stats vocabulary:
   :func:`render_stats` composes every ``summary()`` in the layer from the
   same canonical sections.
@@ -70,7 +71,7 @@ from repro.serving.frontend import (
     TokenBucket,
 )
 from repro.serving.pool import AnnotationPool, PoolStats
-from repro.serving.spec import BackendSpec, PoolSpec, ServingSpec
+from repro.serving.spec import BackendSpec, PoolSpec
 from repro.serving.stats import render_stats, shared_sections
 from repro.serving.service import AnnotationService, ServiceStats
 from repro.serving.slo import SloConfig, SloController
@@ -116,7 +117,6 @@ __all__ = [
     "UnsupportedPayloadError",
     "AnnotationPool",
     "PoolStats",
-    "ServingSpec",
     "BackendSpec",
     "PoolSpec",
     "render_stats",

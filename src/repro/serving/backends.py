@@ -227,22 +227,19 @@ def resolve_backend(
     or ``"multiprocess"``, the latter optionally with a worker count and a
     shard transport as in ``"multiprocess:4+shm"`` (``+pickle`` | ``+shm``,
     see :mod:`repro.serving.transport`) — a typed
-    :class:`~repro.serving.spec.BackendSpec` / :class:`~repro.serving.spec.
-    ServingSpec`, or ``None``, which resolves to *default* (falling back to a
-    fresh :class:`SerialBackend`).  Strings are parsed by
-    :meth:`BackendSpec.parse <repro.serving.spec.BackendSpec.parse>`, the one
-    spec grammar.
+    :class:`~repro.serving.spec.BackendSpec`, or ``None``, which resolves to
+    *default* (falling back to a fresh :class:`SerialBackend`).  Strings are
+    parsed by :meth:`BackendSpec.parse <repro.serving.spec.BackendSpec.parse>`,
+    the one spec grammar.
     """
     if backend is None:
         return default if default is not None else SerialBackend()
     if isinstance(backend, ExecutionBackend):
         return backend
-    from repro.serving.spec import BackendSpec, ServingSpec  # local: spec is leaf-level
+    from repro.serving.spec import BackendSpec  # local: spec is leaf-level
 
     if isinstance(backend, str):
         backend = BackendSpec.parse(backend)
-    if isinstance(backend, ServingSpec):
-        backend = backend.backend
     if isinstance(backend, BackendSpec):
         if backend.name == "serial":
             return SerialBackend()

@@ -68,6 +68,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -209,8 +210,8 @@ class AnnotationFrontend:
     ``pool=`` swaps the single in-process service for an
     :class:`~repro.serving.pool.AnnotationPool` — the same token-bucket,
     queue-bound, deadline, and drain edge then feeds N worker processes
-    with rendezvous routing, and the pool's stats section rides into ``/stats``
-    and :meth:`summary`.
+    with least-loaded routing, and the pool's stats section rides into
+    ``/stats`` and :meth:`summary`.
 
     Endpoints: ``POST /annotate`` (JSON ``{"table": <Table.to_dict()>,
     "customer_id": ..., "deadline_ms": ...}`` → ``TablePrediction.to_dict()``),
@@ -455,6 +456,9 @@ class AnnotationFrontend:
                     )
                 except asyncio.TimeoutError:
                     break
+                except ValueError:  # longer than the stream limit
+                    await self._respond(writer, 400, {"error": "request line too long"})
+                    break
                 finally:
                     self._idle_writers.discard(writer)
                 if not request_line or self._draining:
@@ -486,15 +490,24 @@ class AnnotationFrontend:
             return False
         method, path, _version = parts
         headers: dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), self.config.request_timeout)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        try:
+            while True:
+                line = await asyncio.wait_for(reader.readline(), self.config.request_timeout)
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # a header line longer than the stream limit
+            await self._respond(writer, 400, {"error": "header line too long"})
+            return False
+        except asyncio.TimeoutError:
+            await self._respond(writer, 408, {"error": "request headers timed out"})
+            return False
         try:
             content_length = int(headers.get("content-length", "0") or "0")
         except ValueError:
+            content_length = -1
+        if content_length < 0:
             await self._respond(writer, 400, {"error": "invalid Content-Length"})
             return False
         if content_length > self.config.max_body_bytes:
@@ -502,9 +515,13 @@ class AnnotationFrontend:
             return False
         body = b""
         if content_length:
-            body = await asyncio.wait_for(
-                reader.readexactly(content_length), self.config.request_timeout
-            )
+            try:
+                body = await asyncio.wait_for(
+                    reader.readexactly(content_length), self.config.request_timeout
+                )
+            except asyncio.TimeoutError:
+                await self._respond(writer, 408, {"error": "request body timed out"})
+                return False
         status, payload, extra = await self._route(method, path, headers, body)
         keep_alive = headers.get("connection", "").lower() != "close" and not self._draining
         await self._respond(writer, status, payload, extra, keep_alive=keep_alive)

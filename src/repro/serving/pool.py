@@ -5,22 +5,22 @@
 (``start`` / ``annotate`` / ``shutdown`` / ``summary``), so
 :class:`~repro.serving.frontend.AnnotationFrontend` drives either one
 unchanged (its ``pool=`` mode).  Underneath, the pool forks N worker
-processes, each hosting its own :class:`AnnotationService`, and routes every
-request with **content affinity**:
+processes, each hosting its own :class:`AnnotationService`:
 
-* **Rendezvous routing.**  Each table is keyed by its smallest
-  ``Column.content_hash()`` and placed by rendezvous (highest-random-weight)
-  hashing over the live worker slots, so the same content always lands on
-  the same worker with no routing state to keep or recover.
-* **Load-balance escape hatch.**  When the chosen worker's queue depth
-  reaches ``queue_depth_bound`` the request escapes to the least-loaded
-  worker — affinity is a preference, not a hostage situation.
+* **Least-loaded routing.**  Each request goes to the live worker with the
+  fewest requests in flight, ties going to the lowest slot
+  (join-shortest-queue).  An idle pool therefore keeps serving from one
+  warm worker, and a burst spreads evenly.  The only routing state is the
+  in-flight count the dispatcher already keeps.
 * **Supervision.**  A heartbeat task pings every worker and watches process
   liveness; a dead worker (crash, SIGKILL) is detected, its exit code
   collected, a replacement forked into the same slot, and every request
-  that was in flight on it re-dispatched — callers never observe the death,
-  and results stay bit-identical to a single-process run (derived state is
-  deterministic; a cold replacement only costs recomputation).
+  that was in flight on it re-dispatched by the same least-loaded rule —
+  callers never observe the death, and results stay bit-identical to a
+  single-process run (derived state is deterministic; a cold replacement
+  only costs recomputation).  If the replacement cannot be forked, the slot
+  stays retired and its requests go to the survivors, or fail with
+  :class:`ServingError` when none is left.
 
 Workers speak the SGN1 frame protocol defined here (``MSG_POOL_*``
 messages, pickled payloads, crc-checked frames) over inherited socketpairs;
@@ -33,10 +33,9 @@ Deadlines travel as absolute ``time.monotonic()`` values —
 ``CLOCK_MONOTONIC`` is system-wide on Linux, so parent and workers compare
 against the same clock.
 
-Configuration is the typed :class:`~repro.serving.spec.PoolSpec` /
-:class:`~repro.serving.spec.ServingSpec` (or their string forms,
-``"pool:4"`` / ``"pool:4@serial"``).  See docs/SERVING.md#worker-pool for
-the operator guide and restart runbook.
+Configuration is the typed :class:`~repro.serving.spec.PoolSpec` (or its
+string form, ``"pool:4"``).  See docs/SERVING.md#worker-pool for the
+operator guide and restart runbook.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from itertools import count
 from typing import TYPE_CHECKING
 
@@ -61,7 +59,7 @@ from repro.core.errors import (
     ServingError,
     ShutdownError,
 )
-from repro.serving.spec import PoolSpec, ServingSpec
+from repro.serving.spec import PoolSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sigmatyper import SigmaTyper
@@ -79,19 +77,6 @@ _MAX_POOL_MESSAGE_BYTES = 64 << 20
 _JOIN_TIMEOUT = 5.0
 
 
-# -------------------------------------------------------------------- routing
-def _rendezvous_slot(key: str, slots: list[int]) -> int:
-    """Highest-random-weight choice: same key → same slot, no coordination."""
-    best_slot = slots[0]
-    best_score = -1
-    for slot in slots:
-        digest = blake2b(f"{key}|{slot}".encode("utf-8"), digest_size=8).digest()
-        score = int.from_bytes(digest, "big")
-        if score > best_score:
-            best_slot, best_score = slot, score
-    return best_slot
-
-
 # ----------------------------------------------------------------- pool stats
 @dataclass
 class PoolStats:
@@ -106,10 +91,7 @@ class PoolStats:
     #: :class:`~repro.serving.service.ServiceStats`).
     shed_total: int = 0
     timed_out_total: int = 0
-    #: Rendezvous routings overridden by the load-balance hatch (queue too
-    #: deep).
-    escapes: int = 0
-    #: In-flight requests re-sent to a replacement after a worker died.
+    #: In-flight requests of a dead worker re-sent to a live one.
     redispatches: int = 0
     #: Replacement workers forked into a dead worker's slot.
     restarts: int = 0
@@ -141,7 +123,6 @@ class PoolStats:
             "rejected_total": self.rejected_total,
             "shed_total": self.shed_total,
             "timed_out_total": self.timed_out_total,
-            "escapes": self.escapes,
             "redispatches": self.redispatches,
             "restarts": self.restarts,
             "worker_deaths": self.worker_deaths,
@@ -388,6 +369,8 @@ class _Worker:
         self.retired = False
         self.last_pong: dict | None = None
         self.exitcode: int | None = None
+        #: Why no replacement could be forked into this (retired) slot.
+        self.restart_error: str | None = None
 
 
 class AnnotationPool:
@@ -406,12 +389,9 @@ class AnnotationPool:
         inheritance — workers produce bit-identical predictions to calling
         ``typer.annotate`` directly.
     workers:
-        Worker count, or the typed/string spec forms: a
-        :class:`~repro.serving.spec.PoolSpec` (escape and heartbeat knobs), a
-        :class:`~repro.serving.spec.ServingSpec` or string (``"pool:4"``,
-        ``"pool:4@serial"`` — the backend part becomes each worker's
-        in-process execution backend).
-    max_batch_size / max_batch_delay / backend:
+        Worker count, a :class:`~repro.serving.spec.PoolSpec` (which also
+        sets the heartbeat interval), or its string form ``"pool:N"``.
+    max_batch_size:
         Forwarded to each worker's :class:`AnnotationService`.
     slo:
         Optional :class:`~repro.serving.slo.SloConfig` — each worker builds
@@ -422,28 +402,17 @@ class AnnotationPool:
     def __init__(
         self,
         typer: "SigmaTyper",
-        workers: "int | str | PoolSpec | ServingSpec" = 2,
+        workers: "int | str | PoolSpec" = 2,
         *,
         max_batch_size: int = 32,
-        max_batch_delay: float = 0.005,
-        backend=None,
         slo: "SloConfig | None" = None,
     ) -> None:
-        spec = self._normalise(workers)
-        if backend is not None:
-            from dataclasses import replace
-
-            from repro.serving.spec import BackendSpec
-
-            if isinstance(backend, str):
-                backend = BackendSpec.parse(backend)
-            if isinstance(backend, BackendSpec):
-                spec = replace(spec, backend=backend)
-            else:
-                raise ConfigurationError(
-                    "pool backend must be a spec string or BackendSpec (worker "
-                    "processes cannot inherit a live backend instance)"
-                )
+        if isinstance(workers, int):
+            workers = PoolSpec(workers=workers)
+        elif isinstance(workers, str):
+            workers = PoolSpec.parse(workers)
+        elif not isinstance(workers, PoolSpec):
+            raise ConfigurationError("workers must be an int, a PoolSpec, or a spec string")
         if slo is not None:
             from repro.serving.slo import SloConfig
 
@@ -453,40 +422,15 @@ class AnnotationPool:
                     "controller; a live SloController cannot span processes)"
                 )
         self.typer = typer
-        self.spec = spec
-        self.pool_spec: PoolSpec = spec.pool  # type: ignore[assignment]
+        self.pool_spec = workers
         self.stats = PoolStats()
-        self._service_kwargs = {
-            "max_batch_size": max_batch_size,
-            "max_batch_delay": max_batch_delay,
-            "backend": str(spec.backend) if spec.backend.name != "serial" else None,
-            "slo": slo,
-        }
+        self._service_kwargs = {"max_batch_size": max_batch_size, "slo": slo}
         self._workers: list[_Worker] = []
         self._heartbeat_task: asyncio.Task | None = None
         self._accepting = False
         self._started = False
         self._draining = False
         self._ids = count(1)
-
-    @staticmethod
-    def _normalise(workers) -> ServingSpec:
-        if isinstance(workers, int):
-            return ServingSpec(pool=PoolSpec(workers=workers))
-        if isinstance(workers, PoolSpec):
-            return ServingSpec(pool=workers)
-        if isinstance(workers, str):
-            workers = ServingSpec.parse(workers)
-        if isinstance(workers, ServingSpec):
-            if workers.pool is None:
-                raise ConfigurationError(
-                    f"serving spec {str(workers)!r} names no pool section; "
-                    "use 'pool:N' or 'pool:N@<backend>'"
-                )
-            return workers
-        raise ConfigurationError(
-            "workers must be an int, a PoolSpec, a ServingSpec, or a spec string"
-        )
 
     # ---------------------------------------------------------------- lifecycle
     @property
@@ -651,20 +595,13 @@ class AnnotationPool:
     def _alive_workers(self) -> list[_Worker]:
         return [worker for worker in self._workers if not worker.retired]
 
-    def _route(self, table: "Table") -> _Worker:
-        """Pick the worker for one request."""
+    def _route(self) -> _Worker:
+        """The live worker with the fewest requests in flight (lowest slot
+        on a tie)."""
         alive = self._alive_workers()
         if not alive:
             raise ServingError("AnnotationPool has no live workers")
-        by_slot = {worker.slot: worker for worker in alive}
-        key = min((column.content_hash() for column in table.columns), default="")
-        worker = by_slot[_rendezvous_slot(key, sorted(by_slot))]
-        if len(worker.inflight) >= self.pool_spec.queue_depth_bound:
-            least = min(alive, key=lambda w: (len(w.inflight), w.slot))
-            if least is not worker:
-                worker = least
-                self.stats.escapes += 1
-        return worker
+        return min(alive, key=lambda worker: (len(worker.inflight), worker.slot))
 
     # ----------------------------------------------------------------- requests
     async def annotate(
@@ -673,7 +610,7 @@ class AnnotationPool:
         customer_id: str | None = None,
         deadline: float | None = None,
     ) -> "TablePrediction":
-        """Annotate one table on the worker its content routes to.
+        """Annotate one table on the least-loaded live worker.
 
         Identical results to ``SigmaTyper.annotate`` per request — same
         typer, same deterministic pipeline, whichever worker runs it.  The
@@ -696,10 +633,10 @@ class AnnotationPool:
         }
         try:
             frame = _pack_message(MSG_POOL_REQUEST, message)
+            worker = self._route()
         except ServingError:
             self.stats.errors_total += 1
             raise
-        worker = self._route(table)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         pending = _PoolRequest(request_id, frame, future, now)
         worker.inflight[pending.id] = pending
@@ -785,7 +722,12 @@ class AnnotationPool:
             self._refresh_per_worker()
 
     async def _on_worker_exit(self, worker: _Worker) -> None:
-        """Death path: reap, restart in place, re-dispatch."""
+        """Death path: reap, restart in place, re-dispatch least-loaded.
+
+        A replacement that cannot be forked (an ``OSError`` is likely right
+        after an OOM kill) leaves the slot retired: its requests go to the
+        survivors, or fail with :class:`ServingError` when none is left.
+        """
         if worker.retired:
             return
         worker.retired = True
@@ -810,13 +752,25 @@ class AnnotationPool:
                 self.stats.errors_total += 1
             return
         self.stats.worker_deaths += 1
-        replacement = await self._spawn(worker.slot)
-        self._workers[worker.slot] = replacement
-        self.stats.restarts += 1
+        try:
+            replacement = await self._spawn(worker.slot)
+        except Exception as exc:  # noqa: BLE001 - the slot stays retired; survivors serve
+            worker.restart_error = f"{type(exc).__name__}: {exc}"
+        else:
+            self._workers[worker.slot] = replacement
+            self.stats.restarts += 1
         for pending in captured:
-            replacement.inflight[pending.id] = pending
+            if pending.future.done():
+                continue
+            try:
+                target = self._route()
+            except ServingError as exc:
+                pending.future.set_exception(exc)
+                self.stats.errors_total += 1
+                continue
+            target.inflight[pending.id] = pending
             self.stats.redispatches += 1
-            await self._send(replacement, pending.frame)
+            await self._send(target, pending.frame)
 
     # ------------------------------------------------------------------- report
     def _refresh_per_worker(self) -> None:
@@ -830,6 +784,8 @@ class AnnotationPool:
             }
             if worker.last_pong is not None:
                 info["service"] = worker.last_pong.get("service")
+            if worker.restart_error is not None:
+                info["restart_error"] = worker.restart_error
             snapshot[worker.slot] = info
         self.stats.per_worker = snapshot
 
@@ -843,7 +799,7 @@ class AnnotationPool:
         report: dict[str, object] = {
             "running": self.is_running,
             "workers": self.pool_spec.workers,
-            "spec": str(self.spec),
+            "spec": str(self.pool_spec),
         }
         report.update(render_stats(pool=self))
         return report

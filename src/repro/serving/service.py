@@ -3,15 +3,16 @@
 The deployment the paper targets is a multi-tenant product annotating customer
 tables online.  :class:`AnnotationService` is that serving shell around a
 :class:`~repro.core.sigmatyper.SigmaTyper`: callers ``await
-service.annotate(table, customer_id=...)`` concurrently, a single worker task
-drains the request queue, coalesces whatever arrived within a short batching
-window into per-customer groups, and runs each group through the batched
-``annotate_corpus`` path off the event loop.  Per-request results are
-identical to calling ``SigmaTyper.annotate`` directly — micro-batching only
-amortises shared work (warm caches, one cascade pass per group), it never
-mixes customers: each group is annotated with exactly the requester's
-``customer_id``, so one tenant's local model can never leak into another's
-predictions.
+service.annotate(table, customer_id=...)`` concurrently, and a single worker
+task drains the request queue.  The worker is work-conserving: it starts a
+batch as soon as it is free, with whatever has already queued (up to
+``max_batch_size``), and never waits for more.  It splits each batch into
+per-customer groups and runs each group serially through ``annotate_corpus``
+off the event loop.  Per-request results are identical to calling
+``SigmaTyper.annotate`` directly — micro-batching only amortises shared work
+(warm caches, one cascade pass per group), it never mixes customers: each
+group is annotated with exactly the requester's ``customer_id``, so one
+tenant's local model can never leak into another's predictions.
 
 Requests may carry a **deadline**: ``annotate(table, deadline=0.25)`` gives
 the request a 250 ms end-to-end budget.  A request that ages out while queued
@@ -59,7 +60,6 @@ from repro.serving.slo import SloConfig, SloController
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.sigmatyper import SigmaTyper
-    from repro.serving.backends import ExecutionBackend
 
 __all__ = ["AnnotationService", "ServiceStats"]
 
@@ -183,18 +183,9 @@ class AnnotationService:
         The (pretrained) system to serve.  Customer registration and feedback
         still go through the ``SigmaTyper`` API directly.
     max_batch_size:
-        Upper bound on requests coalesced into one queue drain.
-    max_batch_delay:
-        Seconds the worker waits for additional requests after the first one
-        of a batch arrives.  A couple of milliseconds is enough to coalesce
-        genuinely concurrent traffic; latency-sensitive deployments set 0 to
-        batch only what is already queued.
-    backend:
-        Optional :class:`~repro.serving.backends.ExecutionBackend` (or spec
-        string / typed :class:`~repro.serving.spec.BackendSpec`) used for
-        the ``annotate_corpus`` call of each batch.  Leave
-        unset (serial) for typical online micro-batches — the multiprocess
-        backend forks a pool per call, which only pays off for large batches.
+        Upper bound on requests coalesced into one queue drain.  The worker
+        takes only what has already queued when it becomes free; it never
+        waits for a batch to fill.
     slo:
         Optional SLO control of the cascade confidence threshold c: pass an
         :class:`~repro.serving.slo.SloController` (or a
@@ -209,18 +200,12 @@ class AnnotationService:
         self,
         typer: "SigmaTyper",
         max_batch_size: int = 32,
-        max_batch_delay: float = 0.005,
-        backend: "ExecutionBackend | str | None" = None,
         slo: "SloController | SloConfig | None" = None,
     ) -> None:
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be at least 1")
-        if max_batch_delay < 0:
-            raise ConfigurationError("max_batch_delay must be non-negative")
         self.typer = typer
         self.max_batch_size = max_batch_size
-        self.max_batch_delay = max_batch_delay
-        self.backend = backend
         if isinstance(slo, SloConfig):
             slo = SloController(typer, slo)
         if slo is not None and not isinstance(slo, SloController):
@@ -339,27 +324,18 @@ class AnnotationService:
     # ------------------------------------------------------------------- worker
     async def _worker_loop(self) -> None:
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
             request = await self._queue.get()
             if request is _STOP:
                 break
+            # Work-conserving: coalesce only what already queued, never wait.
             batch = [request]
             stop_after_batch = False
-            deadline = loop.time() + self.max_batch_delay
             while len(batch) < self.max_batch_size:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    # Window elapsed: still coalesce whatever is already queued.
-                    try:
-                        next_request = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        next_request = await asyncio.wait_for(self._queue.get(), timeout)
-                    except asyncio.TimeoutError:
-                        break
+                try:
+                    next_request = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
                 if next_request is _STOP:
                     stop_after_batch = True
                     break
@@ -415,12 +391,7 @@ class AnnotationService:
             if not requests:
                 continue
             tables = [request.table for request in requests]
-            annotate = partial(
-                self.typer.annotate_corpus,
-                tables,
-                customer_id=customer_id,
-                backend=self.backend,
-            )
+            annotate = partial(self.typer.annotate_corpus, tables, customer_id=customer_id)
             degraded = self.slo is not None and self.slo.is_degraded
             started = time.monotonic()
             for request in requests:
@@ -464,7 +435,7 @@ class AnnotationService:
     # ------------------------------------------------------------------- report
     def summary(self) -> dict[str, object]:
         """Service-level report in the unified :func:`~repro.serving.stats.
-        render_stats` shape (running state, batching knobs, stats).
+        render_stats` shape (running state, batch size cap, stats).
 
         ``service`` holds this component's own counters
         (docs/SERVING.md#stats-vocabulary).
@@ -474,8 +445,6 @@ class AnnotationService:
         report: dict[str, object] = {
             "running": self.is_running,
             "max_batch_size": self.max_batch_size,
-            "max_batch_delay": self.max_batch_delay,
-            "backend": getattr(self.backend, "name", self.backend) or "serial",
         }
         report.update(render_stats(service=self))
         return report

@@ -104,9 +104,11 @@ class UnsupportedPayloadError(ServingError):
 # Value encoding shared by cell values and metadata: one tag byte selecting a
 # fixed-width or length-framed representation.  Only exact builtin scalar
 # types round-trip — a subclass (e.g. ``numpy.float64``) must not silently
-# decode to its base type, because ``Column.content_hash()`` keys on the
-# exact type name.  Anything else raises ``UnsupportedPayloadError`` and the
-# transport falls back to pickle for the whole shard.
+# decode to its base type, because the worker must see every cell with the
+# exact type the caller sent (type-sensitive profiling would otherwise
+# diverge from the serial path).  Anything else raises
+# ``UnsupportedPayloadError`` and the transport falls back to pickle for the
+# whole shard.
 
 # _T_NONE.._T_FALSE are imported from repro.core.colblock above.
 # _T_LIST/_T_DICT only ever appear in metadata payloads (cell values holding

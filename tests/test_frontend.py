@@ -61,7 +61,7 @@ class _StubTyper:
     def set_confidence_threshold(self, confidence_threshold: float) -> None:
         self.confidence_threshold = confidence_threshold
 
-    def annotate_corpus(self, tables, customer_id=None, backend=None):
+    def annotate_corpus(self, tables, customer_id=None):
         self.calls += 1
         self.annotated_tables += len(tables)
         if self.delay:
@@ -275,7 +275,7 @@ class TestServiceDeadlines:
         typer = _StubTyper(delay=0.15)
 
         async def drive():
-            async with AnnotationService(typer, max_batch_delay=0.0) as service:
+            async with AnnotationService(typer) as service:
                 blocker = asyncio.ensure_future(service.annotate(_table("blocker")))
                 await asyncio.sleep(0.02)  # the blocker batch is now in flight
                 with pytest.raises(DeadlineExceededError):
@@ -297,7 +297,7 @@ class TestServiceDeadlines:
         typer = _StubTyper()
 
         async def drive():
-            async with AnnotationService(typer, max_batch_delay=0.0) as service:
+            async with AnnotationService(typer) as service:
                 now = time.monotonic()
                 expired: asyncio.Future = asyncio.get_running_loop().create_future()
                 await service._queue.put(  # noqa: SLF001 - deterministic worker-side expiry
@@ -316,7 +316,7 @@ class TestServiceDeadlines:
         typer = _StubTyper()
 
         async def drive():
-            async with AnnotationService(typer, max_batch_delay=0.0) as service:
+            async with AnnotationService(typer) as service:
                 with pytest.raises(DeadlineExceededError):
                     await service.annotate(_table(), deadline=0.0)
                 return service.stats.timed_out_total
@@ -337,7 +337,7 @@ class TestServiceDeadlines:
         typer = _StubTyper(delay=0.02)
 
         async def drive():
-            async with AnnotationService(typer, max_batch_delay=0.0) as service:
+            async with AnnotationService(typer) as service:
                 prediction = await service.annotate(_table("fine"), deadline=5.0)
                 return prediction, service.stats
 
@@ -352,7 +352,7 @@ class TestServiceCancellation:
         typer = _StubTyper(delay=0.12)
 
         async def drive():
-            async with AnnotationService(typer, max_batch_delay=0.0) as service:
+            async with AnnotationService(typer) as service:
                 blocker = asyncio.ensure_future(service.annotate(_table("blocker")))
                 await asyncio.sleep(0.02)
                 doomed = [
@@ -379,7 +379,7 @@ class TestServiceCancellation:
         typer = _StubTyper(delay=0.1)
 
         async def drive():
-            async with AnnotationService(typer, max_batch_delay=0.0) as service:
+            async with AnnotationService(typer) as service:
                 task = asyncio.ensure_future(service.annotate(_table("midflight")))
                 await asyncio.sleep(0.03)  # the cascade is running on the executor
                 task.cancel()
@@ -394,7 +394,7 @@ class TestServiceCancellation:
         typer = _StubTyper()
 
         async def drive():
-            async with AnnotationService(typer, max_batch_delay=0.0) as service:
+            async with AnnotationService(typer) as service:
                 typer.fail = True
                 with pytest.raises(ServingError):
                     await service.annotate(_table("boom"))
@@ -413,7 +413,7 @@ class TestServiceDrain:
         typer = _StubTyper(delay=0.4)
 
         async def drive():
-            service = await AnnotationService(typer, max_batch_delay=0.0).start()
+            service = await AnnotationService(typer).start()
             in_flight = asyncio.ensure_future(service.annotate(_table("inflight")))
             await asyncio.sleep(0.05)  # now running on the executor
             queued = asyncio.ensure_future(service.annotate(_table("queued")))
@@ -433,7 +433,7 @@ class TestServiceDrain:
         typer = _StubTyper(delay=0.02)
 
         async def drive():
-            service = await AnnotationService(typer, max_batch_delay=0.0).start()
+            service = await AnnotationService(typer).start()
             pending = [asyncio.ensure_future(service.annotate(_table(f"t{i}"))) for i in range(3)]
             await asyncio.sleep(0)
             await service.shutdown()
@@ -483,7 +483,7 @@ class TestServiceSloIntegration:
 
         async def drive():
             async with AnnotationService(
-                typer, max_batch_delay=0.0, slo=SloConfig(**vars(config))
+                typer, slo=SloConfig(**vars(config))
             ) as service:
                 for index in range(4):
                     await service.annotate(_table(f"slow{index}"))
@@ -514,7 +514,7 @@ class TestServiceSloIntegration:
 
         async def drive():
             async with AnnotationService(
-                typer, max_batch_delay=0.0, slo=SloConfig(latency_budget=0.5, min_samples=2)
+                typer, slo=SloConfig(latency_budget=0.5, min_samples=2)
             ) as service:
                 for index in range(8):
                     await service.annotate(_table(f"t{index}"))
@@ -532,7 +532,7 @@ class TestServiceSloIntegration:
 # ------------------------------------------------------------ frontend admission
 class TestFrontendAdmission:
     def _frontend(self, typer, **config) -> AnnotationFrontend:
-        service = AnnotationService(typer, max_batch_delay=0.0)
+        service = AnnotationService(typer)
         return AnnotationFrontend(service, FrontendConfig(**config))
 
     def test_rate_limit_sheds_with_retry_after(self):
@@ -676,7 +676,7 @@ def _comparable(prediction_dict: dict) -> dict:
 class TestFrontendHttp:
     def test_annotate_round_trip_is_bit_identical(self, pretrained_typer, fig3_table):
         expected = json.loads(json.dumps(pretrained_typer.annotate(fig3_table).to_dict()))
-        service = AnnotationService(pretrained_typer, max_batch_delay=0.0)
+        service = AnnotationService(pretrained_typer)
         frontend = AnnotationFrontend(service)
 
         async def drive():
@@ -694,7 +694,7 @@ class TestFrontendHttp:
         assert frontend.stats.completed == 1
 
     def test_keep_alive_serves_sequential_requests(self, pretrained_typer, fig3_table):
-        service = AnnotationService(pretrained_typer, max_batch_delay=0.0)
+        service = AnnotationService(pretrained_typer)
         frontend = AnnotationFrontend(service)
 
         async def drive():
@@ -716,7 +716,7 @@ class TestFrontendHttp:
         assert frontend.stats.connections == 1
 
     def test_healthz_stats_and_errors(self, pretrained_typer):
-        service = AnnotationService(pretrained_typer, max_batch_delay=0.0)
+        service = AnnotationService(pretrained_typer)
         frontend = AnnotationFrontend(service, FrontendConfig(tenant_rate=1000.0))
 
         async def drive():
@@ -755,8 +755,51 @@ class TestFrontendHttp:
         assert bad_json == 400
         assert bad_deadline == 400
 
+    def test_malformed_and_slow_requests_get_a_status_line(self):
+        """Client inputs that used to crash the connection handler: a
+        negative Content-Length, a header line over the 64 KiB stream limit,
+        and a request whose headers or body stall past ``request_timeout``.
+        Each gets its status line, and the event loop reports no unhandled
+        exception."""
+        service = AnnotationService(_StubTyper())
+        frontend = AnnotationFrontend(service, FrontendConfig(request_timeout=0.2))
+
+        async def raw_status(host, port, wire: bytes) -> int:
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(wire)
+                await writer.drain()
+                status_line = await asyncio.wait_for(reader.readline(), 5.0)
+                return int(status_line.split()[1]) if status_line else 0
+            finally:
+                writer.close()
+
+        async def drive():
+            loop_errors: list[dict] = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with frontend:
+                host, port = frontend.address
+                negative = await raw_status(
+                    host, port, b"POST /annotate HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+                )
+                too_long = await raw_status(
+                    host, port,
+                    b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * (70 << 10) + b"\r\n\r\n",
+                )
+                stalled = await raw_status(host, port, b"GET /healthz HTTP/1.1\r\nHost: x")
+                body_stalled = await raw_status(
+                    host, port, b"POST /annotate HTTP/1.1\r\nContent-Length: 10\r\n\r\n{"
+                )
+            return (negative, too_long, stalled, body_stalled), loop_errors
+
+        statuses, loop_errors = asyncio.run(drive())
+        assert statuses == (400, 400, 408, 408)
+        assert loop_errors == []
+
     def test_shed_maps_to_429_with_retry_after(self, pretrained_typer):
-        service = AnnotationService(pretrained_typer, max_batch_delay=0.0)
+        service = AnnotationService(pretrained_typer)
         frontend = AnnotationFrontend(
             service, FrontendConfig(tenant_rate=0.001, tenant_burst=1)
         )
@@ -783,7 +826,7 @@ class TestFrontendHttp:
 
     def test_deadline_maps_to_504(self):
         typer = _StubTyper(delay=0.2)
-        service = AnnotationService(typer, max_batch_delay=0.0)
+        service = AnnotationService(typer)
         frontend = AnnotationFrontend(service)
 
         async def drive():
@@ -805,7 +848,7 @@ class TestFrontendHttp:
 
     def test_sigterm_drains_within_deadline_without_leaks(self):
         typer = _StubTyper(delay=0.05)
-        service = AnnotationService(typer, max_batch_delay=0.0)
+        service = AnnotationService(typer)
         frontend = AnnotationFrontend(service, FrontendConfig(drain_timeout=2.0))
 
         async def drive():
@@ -838,7 +881,7 @@ class TestFrontendHttp:
 
     def test_drain_with_inflight_requests_is_bounded(self):
         typer = _StubTyper(delay=0.5)
-        service = AnnotationService(typer, max_batch_delay=0.0)
+        service = AnnotationService(typer)
         frontend = AnnotationFrontend(service, FrontendConfig(drain_timeout=0.15))
 
         async def drive():

@@ -2,19 +2,22 @@
 
 The acceptance gates pinned here:
 
-* **Spec round-trip** — ``str(ServingSpec.parse(s)) == s`` for every backend
-  spec string documented in docs/SERVING.md (scraped from the doc, so the
-  table and the parser cannot drift) plus the pool forms.
+* **Spec round-trip** — ``str(BackendSpec.parse(s)) == s`` and
+  ``str(PoolSpec.parse(s)) == s`` for every spec string documented in
+  docs/SERVING.md (scraped from the doc, so the table and the parser cannot
+  drift).
 * **One grammar** — ``BackendSpec.parse`` and ``resolve_backend`` accept and
   reject exactly the same strings.
-* **Rendezvous affinity** — on a repeat-heavy tenant mix every worker serves
-  exactly the requests ``_rendezvous_slot`` predicts from each table's
-  smallest column content hash.
+* **Least-loaded routing** — one request at a time, every request lands on
+  the lowest slot (an idle pool keeps one worker warm); a burst sent all at
+  once splits evenly over the workers.
 * **Parity** — pool predictions bit-identical to calling the typer
   directly, including across a worker death.
 * **Supervision drill** — SIGKILL a worker mid-flight: the pool detects the
   death, restarts the slot, re-dispatches the in-flight requests, and no
-  request is lost.
+  request is lost.  When the replacement cannot be forked, the slot stays
+  retired and its requests go to a survivor, or fail with a
+  :class:`ServingError` when none is left.
 * **Framing** — the SGN1 reader rejects every malformed frame (bad magic,
   unknown type, oversize, torn, corrupt payload) as :class:`FrameError`.
 * **Frame bound** — a request or result too large for one frame fails that
@@ -28,13 +31,13 @@ The acceptance gates pinned here:
 from __future__ import annotations
 
 import asyncio
+import errno
 import os
 import pickle
 import re
 import signal
 import socket
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,7 +51,6 @@ from repro.serving import (
     BackendSpec,
     FrontendConfig,
     PoolSpec,
-    ServingSpec,
     resolve_backend,
     resolve_transport,
 )
@@ -60,7 +62,6 @@ from repro.serving.pool import (
     MSG_POOL_REQUEST,
     MSG_POOL_RESULT,
     FrameError,
-    _rendezvous_slot,
     _serve_one,
     pack_frame,
     read_frame_async,
@@ -79,15 +80,20 @@ DOCUMENTED_SPECS = [
     "multiprocess:8+shm",
     "multiprocess+pickle",
     "pool:4",
-    "pool:4@multiprocess:2+shm",
 ]
 
 #: Canonical spec-string shapes as they appear in inline code spans in the
 #: serving doc.  Matches full tokens only, so prose words that merely start
 #: with a backend name ("serialization") never trip the gate.
-_CANONICAL_SPEC = re.compile(
-    r"^(?:pool:\d+(?:@\S+)?|(?:serial|multiprocess)(?:[:+]\S+)?)$"
-)
+_CANONICAL_SPEC = re.compile(r"^(?:pool:\d+|(?:serial|multiprocess)(?:[:+]\S+)?)$")
+
+
+def _parse_spec(spec_string: str):
+    """A pool spec string parses as :class:`PoolSpec`, any other as
+    :class:`BackendSpec`."""
+    if spec_string.startswith("pool"):
+        return PoolSpec.parse(spec_string)
+    return BackendSpec.parse(spec_string)
 
 
 def _comparable(predictions):
@@ -100,6 +106,7 @@ MALFORMED_SPECS = [
     "",
     "warp",
     "pool:4",
+    "pool:4@multiprocess:2+shm",
     "serial+shm",
     "serial:2",
     "threaded",
@@ -137,11 +144,10 @@ async def _settled_per_worker(pool: AnnotationPool, timeout: float = 10.0) -> di
 
 
 # ------------------------------------------------------------ spec round-trip
-class TestServingSpec:
+class TestSpecGrammar:
     def test_round_trips_every_documented_spec_string(self):
         for spec_string in DOCUMENTED_SPECS:
-            spec = ServingSpec.parse(spec_string)
-            assert str(spec) == spec_string
+            assert str(_parse_spec(spec_string)) == spec_string
 
     def test_round_trips_every_spec_string_in_the_serving_doc(self):
         """Scrape docs/SERVING.md so the doc and the parser cannot drift."""
@@ -152,7 +158,7 @@ class TestServingSpec:
             if not _CANONICAL_SPEC.match(candidate):
                 continue
             try:
-                spec = ServingSpec.parse(candidate)
+                spec = _parse_spec(candidate)
             except ConfigurationError:
                 continue  # a grammar placeholder like `multiprocess:N`
             assert str(spec) == candidate, candidate
@@ -169,9 +175,12 @@ class TestServingSpec:
         assert str(PoolSpec.parse("pool")) == "pool:2"  # default worker count
 
     def test_invalid_specs_raise_configuration_error(self):
-        for bad in ("", "warp", "serial+shm", "threaded:x", "pool:0", "pool:2@"):
+        for bad in ("", "warp", "serial+shm", "threaded:x"):
             with pytest.raises(ConfigurationError):
-                ServingSpec.parse(bad)
+                BackendSpec.parse(bad)
+        for bad in ("pool:0", "pool:2@", "pool:2@serial", "pool:x", "warp:2"):
+            with pytest.raises(ConfigurationError):
+                PoolSpec.parse(bad)
         with pytest.raises(ConfigurationError):
             BackendSpec(name="multiprocess", transport="arrow")
 
@@ -194,9 +203,9 @@ class TestServingSpec:
                 assert parsed == (spec_string not in MALFORMED_SPECS), spec_string
 
     def test_typed_specs_resolve_like_their_strings(self):
-        assert resolve_backend(ServingSpec.parse("multiprocess:2")).max_workers == 2
+        assert resolve_backend(BackendSpec.parse("multiprocess:2")).max_workers == 2
         assert resolve_backend(BackendSpec.parse("multiprocess:2")).name == "multiprocess"
-        assert resolve_backend(ServingSpec.parse("serial")).name == "serial"
+        assert resolve_backend(BackendSpec.parse("serial")).name == "serial"
         assert resolve_transport("shm").name == "shm"
 
     def test_frontend_config_validates(self):
@@ -205,23 +214,15 @@ class TestServingSpec:
         with pytest.raises(ConfigurationError):
             FrontendConfig(tenant_burst=-1.0).validate()
 
-    def test_service_accepts_a_typed_backend_spec(self, pretrained_typer):
-        service = AnnotationService(pretrained_typer, backend=BackendSpec.parse("serial"))
-        assert service.summary()["backend"] == "serial"
-
 
 # ------------------------------------------------------------------ the pool
 class TestAnnotationPool:
     def test_parity_and_affinity_on_repeat_heavy_mix(self, pretrained_typer, tables):
-        """Every table lands on its rendezvous slot, and results are
-        bit-identical."""
+        """One request at a time, every table lands on the lowest slot — the
+        one warm worker of an idle pool — and results are bit-identical."""
         serial = _comparable([pretrained_typer.annotate(t) for t in tables])
         rounds = 4
         slots = [0, 1, 2]
-        predicted = Counter(
-            _rendezvous_slot(min(column.content_hash() for column in table.columns), slots)
-            for table in tables
-        )
 
         async def drive():
             spec = PoolSpec(workers=len(slots), heartbeat_interval=0.05)
@@ -235,8 +236,7 @@ class TestAnnotationPool:
         results, stats, per_worker = asyncio.run(drive())
         assert _comparable(results) == serial * rounds
         served = {slot: info["service"]["requests_total"] for slot, info in per_worker.items()}
-        assert served == {slot: predicted[slot] * rounds for slot in slots}
-        assert stats.escapes == 0
+        assert served == {0: len(tables) * rounds, 1: 0, 2: 0}
         assert stats.completed_total == len(tables) * rounds
         assert stats.errors_total == 0
 
@@ -250,8 +250,26 @@ class TestAnnotationPool:
 
         per_worker = asyncio.run(drive())
         served = sorted(info["service"]["requests_total"] for info in per_worker.values())
-        # Every repeat lands on the worker that first saw the table.
+        # With nothing in flight, every repeat lands on the same (lowest) slot.
         assert served == [0, 0, 5]
+
+    def test_burst_splits_evenly_over_the_workers(self, pretrained_typer, tables):
+        """Requests sent all at once join the shortest queue in turn."""
+        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        burst = tables * 2
+
+        async def drive():
+            spec = PoolSpec(workers=3, heartbeat_interval=0.05)
+            async with AnnotationPool(pretrained_typer, spec) as pool:
+                results = await asyncio.gather(
+                    *[pool.annotate(table.copy()) for table in burst]
+                )
+                return results, await _settled_per_worker(pool)
+
+        results, per_worker = asyncio.run(drive())
+        assert _comparable(results) == serial * 2
+        served = [per_worker[slot]["service"]["requests_total"] for slot in sorted(per_worker)]
+        assert served == [len(burst) // 3] * 3
 
     def test_sigkill_worker_redispatches_in_flight_requests(self, pretrained_typer, tables):
         """The supervision drill: kill -9 a worker, lose zero requests."""
@@ -279,6 +297,72 @@ class TestAnnotationPool:
         assert stats.redispatches >= 1
         assert stats.errors_total == 0
 
+    @staticmethod
+    async def _kill_with_fork_refused(pool, burst, monkeypatch):
+        """Send *burst*, refuse every later fork, SIGKILL worker 0 mid-flight,
+        gather the outcomes, then send one more request (bounded: a stranded
+        request fails the test instead of hanging it)."""
+        await pool.start()
+        try:
+
+            def refuse_fork(slot, sibling_fds):
+                raise OSError(errno.EAGAIN, "fork refused")
+
+            monkeypatch.setattr(pool, "_fork_worker", refuse_fork)
+            futures = [asyncio.ensure_future(pool.annotate(t.copy())) for t in burst]
+            await asyncio.sleep(0.01)  # requests are now dispatched
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            results = await asyncio.wait_for(
+                asyncio.gather(*futures, return_exceptions=True), 20.0
+            )
+            follow_up = await asyncio.wait_for(
+                asyncio.gather(pool.annotate(burst[0].copy()), return_exceptions=True), 20.0
+            )
+            return results + follow_up
+        finally:
+            await pool.shutdown(drain_timeout=1.0)
+
+    def test_failed_replacement_fork_redispatches_to_the_survivor(
+        self, pretrained_typer, tables, monkeypatch
+    ):
+        """Right after an OOM kill, fork itself may fail: the slot stays
+        retired and its in-flight requests go to the live worker."""
+        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        burst = tables * 4
+        pool = AnnotationPool(pretrained_typer, PoolSpec(workers=2, heartbeat_interval=0.05))
+
+        results = asyncio.run(self._kill_with_fork_refused(pool, burst, monkeypatch))
+        assert _comparable(results) == serial * 4 + serial[:1]
+        # Slot 0 still holds the killed worker; the survivor exited cleanly.
+        assert [worker.exitcode for worker in pool._workers] == [-signal.SIGKILL, 0]
+        assert "fork refused" in pool.summary()["pool"]["per_worker"][0]["restart_error"]
+        stats = pool.stats
+        assert (stats.worker_deaths, stats.restarts) == (1, 0)
+        assert stats.redispatches >= 1
+        assert stats.errors_total == 0
+        assert stats.completed_total == len(burst) + 1
+
+    def test_failed_replacement_fork_without_survivors_fails_requests(
+        self, pretrained_typer, tables, monkeypatch
+    ):
+        """With no live worker left, a stranded request — and every later
+        one — fails with a typed error (counted in ``errors_total``) instead
+        of hanging."""
+        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        pool = AnnotationPool(pretrained_typer, PoolSpec(workers=1, heartbeat_interval=0.05))
+
+        results = asyncio.run(self._kill_with_fork_refused(pool, tables, monkeypatch))
+        failed = [r for r in results if isinstance(r, Exception)]
+        assert isinstance(results[-1], ServingError)  # the request after the death
+        assert len(failed) >= 2 and all(isinstance(error, ServingError) for error in failed)
+        assert all("no live workers" in str(error) for error in failed)
+        for index, result in enumerate(results[:-1]):
+            if not isinstance(result, Exception):  # served before the kill
+                assert _comparable([result]) == serial[index : index + 1]
+        stats = pool.stats
+        assert (stats.worker_deaths, stats.restarts) == (1, 0)
+        assert stats.errors_total == len(failed)
+
     def test_shutdown_is_clean_and_fast(self, pretrained_typer, tables):
         """Regression: shutting down a pool that served requests takes well
         under a second, and every worker exits 0 (no terminate escalation,
@@ -299,15 +383,12 @@ class TestAnnotationPool:
 
     def test_spec_forms_and_rejections(self, pretrained_typer):
         pool = AnnotationPool(pretrained_typer, "pool:3")
-        assert pool.pool_spec.workers == 3
-        pool = AnnotationPool(pretrained_typer, ServingSpec.parse("pool:2@multiprocess:2"))
-        assert str(pool.spec) == "pool:2@multiprocess:2"
+        assert pool.pool_spec == PoolSpec(workers=3)
         pool = AnnotationPool(pretrained_typer, PoolSpec(workers=1))
         assert pool.pool_spec.workers == 1
-        with pytest.raises(ConfigurationError):
-            AnnotationPool(pretrained_typer, "multiprocess:4")  # no pool section
-        with pytest.raises(ConfigurationError):
-            AnnotationPool(pretrained_typer, 0)
+        for bad in ("multiprocess:4", "pool:2@multiprocess:2", 0):
+            with pytest.raises(ConfigurationError):
+                AnnotationPool(pretrained_typer, bad)
         with pytest.raises(ConfigurationError):
             AnnotationPool(pretrained_typer, 2, slo=object())
 

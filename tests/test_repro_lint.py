@@ -124,41 +124,6 @@ def test_rl002_quiet_on_acquire_with_finally_release(tmp_path):
     assert result.findings == []
 
 
-def test_rl002_flags_fork_module_lock_not_reinitialised(tmp_path):
-    source = """\
-    import os, threading
-
-    _STATE_LOCK = threading.Lock()
-
-    def _after_fork_in_child():
-        pass
-
-    os.register_at_fork(after_in_child=_after_fork_in_child)
-    """
-    result = _lint(tmp_path, source, LockDisciplineChecker())
-    assert [f.check_id for f in result.findings] == ["RL002"]
-    assert "_STATE_LOCK" in result.findings[0].message
-
-
-def test_rl002_quiet_when_fork_child_replaces_the_lock(tmp_path):
-    result = _lint(
-        tmp_path,
-        """\
-        import os, threading
-
-        _STATE_LOCK = threading.Lock()
-
-        def _after_fork_in_child():
-            global _STATE_LOCK
-            _STATE_LOCK = threading.Lock()
-
-        os.register_at_fork(after_in_child=_after_fork_in_child)
-        """,
-        LockDisciplineChecker(),
-    )
-    assert result.findings == []
-
-
 # ------------------------------------------------------------------- RL003
 def test_rl003_flags_unclosed_handles(tmp_path):
     result = _lint(

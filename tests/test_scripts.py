@@ -138,8 +138,11 @@ def bench_repo(tmp_path, monkeypatch):
     artifact = {
         "experiment": "E17_pool_routing",
         "num_tables": 40,
-        "requests_per_worker": {"predicted": [60, 36], "observed": [60, 36]},
-        "escapes": 0,
+        "requests_per_worker": {
+            "repeat, one at a time": [96, 0],
+            "repeat, all in flight": [48, 48],
+        },
+        "balance_tolerance": 0.1,
         "kill_drill": {"redispatches": 7, "lost_requests": 0},
     }
     (tmp_path / "BENCH_pool_routing.json").write_text(
@@ -156,7 +159,11 @@ def test_bench_summary_writes_table(bench_repo, capsys):
     text = (root / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
     introduced = mod.EXPERIMENTS["E17_pool_routing"][0]
     assert f"| `E17_pool_routing` | {introduced} |" in text
-    assert "per-worker requests [60, 36] (gate: rendezvous prediction [60, 36])" in text
+    assert (
+        "per-worker requests: repeat, one at a time [96, 0]; repeat, all in flight "
+        "[48, 48] (gates: one at a time all on slot 0, all in flight within 10% of "
+        "the burst)"
+    ) in text
     assert "40 tables" in text
 
 
@@ -173,7 +180,7 @@ def test_bench_summary_check_fails_when_stale(bench_repo, capsys):
     artifact = json.loads(
         (root / "BENCH_pool_routing.json").read_text(encoding="utf-8")
     )
-    artifact["requests_per_worker"]["observed"] = [61, 35]
+    artifact["requests_per_worker"]["repeat, all in flight"] = [49, 47]
     (root / "BENCH_pool_routing.json").write_text(
         json.dumps(artifact), encoding="utf-8"
     )

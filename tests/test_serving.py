@@ -11,6 +11,7 @@ and graceful shutdown.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 
 import numpy as np
@@ -185,38 +186,13 @@ class TestBackendParity:
 
 # --------------------------------------------------------------- column memos
 class TestColumnMemo:
-    def test_content_hash_keys_on_name_values_and_value_types(self):
-        first = Column("Income", ["$ 50K", "$ 60K", None])
-        second = Column("Income", ["$ 50K", "$ 60K", None], semantic_type="salary")
-        assert first.content_hash() == second.content_hash()
-        assert first.content_hash() != Column("Salary", ["$ 50K", "$ 60K", None]).content_hash()
-        assert first.content_hash() != Column("Income", ["$ 50K", "$ 60K"]).content_hash()
-        assert Column("n", [1, 2]).content_hash() != Column("n", ["1", "2"]).content_hash()
-
-    def test_content_hash_is_injective_against_crafted_values(self):
-        """Cell values may contain any bytes; framing must prevent collisions
-        between differently shaped columns whose payloads concatenate alike."""
-        assert (
-            Column("c", ["A\x00str\x1fB"]).content_hash()
-            != Column("c", ["A", "B"]).content_hash()
-        )
-        assert (
-            Column("c\x00str\x1fA", ["B"]).content_hash()
-            != Column("c", ["A", "B"]).content_hash()
-        )
-        assert Column("c", ["AB", ""]).content_hash() != Column("c", ["A", "B"]).content_hash()
-        assert Column("cA", ["B"]).content_hash() != Column("c", ["A", "B"]).content_hash()
-
-    def test_invalidate_cache_refreshes_hash_and_memo(self):
+    def test_invalidate_cache_refreshes_memo(self):
         column = Column("city", ["Berlin", "Paris", "Berlin"])
         assert column.value_counts() == {"Berlin": 2, "Paris": 1}
-        stale_hash = column.content_hash()
         column.values.append("Oslo")
-        # Until invalidated, the memo and the hash still describe the old values.
+        # Until invalidated, the memo still describes the old values.
         assert column.value_counts() == {"Berlin": 2, "Paris": 1}
-        assert column.content_hash() == stale_hash
         column.invalidate_cache()
-        assert column.content_hash() != stale_hash
         assert column.value_counts() == {"Berlin": 2, "Paris": 1, "Oslo": 1}
 
     def test_concurrent_callers_share_one_typer(self, pretrained_typer, mixed_tables):
@@ -246,9 +222,7 @@ class TestAnnotationService:
         expected_acme = [adapted_typer.annotate(t, customer_id="acme") for t in mixed_tables]
 
         async def drive():
-            async with AnnotationService(
-                adapted_typer, max_batch_size=16, max_batch_delay=0.05
-            ) as service:
+            async with AnnotationService(adapted_typer, max_batch_size=16) as service:
                 global_results, acme_results = await asyncio.gather(
                     asyncio.gather(*[service.annotate(t) for t in mixed_tables]),
                     asyncio.gather(
@@ -261,9 +235,10 @@ class TestAnnotationService:
         assert _comparable(global_results) == _comparable(expected_global)
         assert _comparable(acme_results) == _comparable(expected_acme)
         assert stats.requests_total == 2 * len(mixed_tables)
-        # Concurrent requests were coalesced into shared batches.
-        assert stats.batches_total < stats.requests_total
-        assert stats.largest_batch >= 2
+        # Work-conserving: every gathered request queued before the worker
+        # woke, so each drain took a full batch of 16 until the queue ran dry.
+        assert stats.batches_total == math.ceil(2 * len(mixed_tables) / 16)
+        assert stats.largest_batch == min(16, 2 * len(mixed_tables))
         assert stats.requests_by_customer["acme"] == len(mixed_tables)
 
     def test_customers_do_not_cross_contaminate(self, adapted_typer, fig3_table):
@@ -276,9 +251,7 @@ class TestAnnotationService:
         expected_acme = adapted_typer.annotate(table, customer_id="acme")
 
         async def drive():
-            async with AnnotationService(
-                adapted_typer, max_batch_size=8, max_batch_delay=0.05
-            ) as service:
+            async with AnnotationService(adapted_typer, max_batch_size=8) as service:
                 return await asyncio.gather(
                     service.annotate(table, customer_id="acme"),
                     service.annotate(table, customer_id="blank-tenant"),
@@ -296,7 +269,7 @@ class TestAnnotationService:
 
     def test_unknown_customer_fails_that_request_only(self, pretrained_typer, fig3_table):
         async def drive():
-            async with AnnotationService(pretrained_typer, max_batch_delay=0.01) as service:
+            async with AnnotationService(pretrained_typer) as service:
                 good, bad = await asyncio.gather(
                     service.annotate(fig3_table.copy()),
                     service.annotate(fig3_table.copy(), customer_id="no-such-tenant"),
@@ -311,7 +284,7 @@ class TestAnnotationService:
 
     def test_shutdown_drains_then_rejects(self, pretrained_typer, fig3_table):
         async def drive():
-            service = AnnotationService(pretrained_typer, max_batch_delay=0.0)
+            service = AnnotationService(pretrained_typer)
             await service.start()
             pending = [
                 asyncio.ensure_future(service.annotate(fig3_table.copy())) for _ in range(3)
@@ -339,8 +312,6 @@ class TestAnnotationService:
     def test_invalid_configuration(self, pretrained_typer):
         with pytest.raises(ConfigurationError):
             AnnotationService(pretrained_typer, max_batch_size=0)
-        with pytest.raises(ConfigurationError):
-            AnnotationService(pretrained_typer, max_batch_delay=-1.0)
 
 
 # ------------------------------------------------------------------ satellites
