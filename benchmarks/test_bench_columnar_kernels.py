@@ -7,10 +7,10 @@ the same statistics as vectorized numpy passes directly over the block's
 tag/offset/blob arrays.  This experiment measures both paths on the *same*
 decoded blocks:
 
-* **rebuild path** — kernels disabled: columns decode their cells back into
-  Python objects and the seed per-value profiler/featurizer runs;
-* **block-native path** — kernels enabled: profiling and featurization read
-  the transport buffers through :class:`~repro.core.colblock.ColumnView`.
+* **rebuild path** — plain list-backed copies of the decoded tables, built
+  outside the timed region: the seed per-value profiler/featurizer runs;
+* **block-native path** — profiling and featurization read the transport
+  buffers through :class:`~repro.core.colblock.ColumnView`.
 
 Three properties are pinned:
 
@@ -24,12 +24,19 @@ Three properties are pinned:
   ASCII-fast-path caveat in ``docs/SERVING.md``).  Any other reason, or any
   encode fallback, is printed as ``UNEXPECTED KERNEL FALLBACK <reason>``
   and fails the run (the CI smoke job greps the log for that marker).
+
+A fourth table is reported, not gated: the **crossover**, time per column of
+``annotate_corpus`` on a warm typer with kernel views on every column
+against none, at each of ``CROSSOVER_ROWS``.  Views cost a fixed amount per
+column that only long columns win back; ``colblock.MIN_KERNEL_ROWS`` is set
+from where this table crosses, and a later run re-checks it.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -67,6 +74,12 @@ REPEATS = 5
 #: Fallback reasons this corpus is allowed to produce (accented city names).
 EXPECTED_FALLBACK_REASONS = {"non-ascii text"}
 
+#: Crossover table: rows per column, tables per row count, and alternating
+#: timed repeats per path (after one untimed pass that warms the typer).
+CROSSOVER_ROWS = (25, 50, 75, 100, 150, 250)
+CROSSOVER_TABLES = 24
+CROSSOVER_REPEATS = 5
+
 
 @pytest.fixture(scope="module")
 def kernel_payload():
@@ -97,17 +110,15 @@ def _profile_and_featurize(tables: list[Table], featurizer) -> int:
 
 
 def _timed_pass(payload: bytes, featurizer, kernels: bool) -> tuple[float, int]:
-    colblock.set_kernels_enabled(kernels)
-    try:
-        tables = _decode_tables(payload)
-        # Deterministic heap state: the previous pass's tables (and their
-        # memoized profiles) are collected outside the timed region.
-        gc.collect()
-        started = time.perf_counter()
-        num_columns = _profile_and_featurize(tables, featurizer)
-        return time.perf_counter() - started, num_columns
-    finally:
-        colblock.set_kernels_enabled(True)
+    tables = _decode_tables(payload)
+    if not kernels:
+        tables = [table.copy() for table in tables]
+    # Deterministic heap state: the previous pass's tables (and their
+    # memoized profiles) are collected outside the timed region.
+    gc.collect()
+    started = time.perf_counter()
+    num_columns = _profile_and_featurize(tables, featurizer)
+    return time.perf_counter() - started, num_columns
 
 
 def _comparable(predictions):
@@ -115,7 +126,46 @@ def _comparable(predictions):
     return [(p.table_name, p.step_trace, p.columns) for p in predictions]
 
 
-def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result):
+def _crossover(sigmatyper, monkeypatch) -> list[dict]:
+    """Median time per column of ``annotate_corpus``, kernels against
+    per-value, for tables of each of ``CROSSOVER_ROWS`` rows."""
+    longest = max(CROSSOVER_ROWS)
+    # One corpus cut to each length: only the row count differs between rows.
+    full = GitTablesGenerator(
+        GitTablesConfig(num_tables=CROSSOVER_TABLES, seed=2525, min_rows=longest, max_rows=longest)
+    ).generate_corpus()
+    num_columns = sum(table.num_columns for table in full)
+    rows = []
+    for num_rows in CROSSOVER_ROWS:
+        corpus = [table.head(num_rows) for table in full]
+        samples: dict = {True: [], False: []}
+        for repeat in range(CROSSOVER_REPEATS + 1):
+            for kernels in (True, False) if repeat % 2 else (False, True):
+                # The bound gives every column a view, or none.
+                monkeypatch.setattr(colblock, "MIN_KERNEL_ROWS", 0 if kernels else num_rows + 1)
+                tables = [table.copy() for table in corpus]
+                gc.collect()
+                started = time.perf_counter()
+                sigmatyper.annotate_corpus(tables)
+                if repeat:
+                    samples[kernels].append(time.perf_counter() - started)
+        kernel_us, per_value_us = (
+            statistics.median(samples[kernels]) / num_columns * 1e6 for kernels in (True, False)
+        )
+        rows.append(
+            {
+                "rows": num_rows,
+                "columns": num_columns,
+                "kernels_us_per_column": round(kernel_us, 1),
+                "per_value_us_per_column": round(per_value_us, 1),
+                "kernels_faster": kernel_us < per_value_us,
+            }
+        )
+    monkeypatch.undo()
+    return rows
+
+
+def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, monkeypatch):
     featurizer = sigmatyper.global_model.classifier.featurizer
     payload = kernel_payload
 
@@ -139,12 +189,10 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result):
     speedup = rebuild_seconds / native_seconds
 
     # End-to-end parity: the full cascade over the same decoded blocks must
-    # produce bit-identical predictions with kernels on and off.
-    colblock.set_kernels_enabled(False)
-    try:
-        reference = _comparable(sigmatyper.annotate_corpus(_decode_tables(payload)))
-    finally:
-        colblock.set_kernels_enabled(True)
+    # produce bit-identical predictions on plain list-backed copies, which
+    # the pipeline reads per value.
+    plain = [table.copy() for table in _decode_tables(payload)]
+    reference = _comparable(sigmatyper.global_model.pipeline.annotate_many(plain))
     native_predictions = _comparable(sigmatyper.annotate_corpus(_decode_tables(payload)))
     assert native_predictions == reference, (
         "block-native kernels diverged from the per-value path"
@@ -171,14 +219,15 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result):
 
     summary = sigmatyper.summary()
     timings = summary["timings"]
+    crossover = _crossover(sigmatyper, monkeypatch)
     rows = [
         {
-            "path": "rebuild (kernels off)",
+            "path": "rebuild (plain lists)",
             "seconds_total": round(rebuild_seconds, 3),
             "columns_per_second": round(num_columns / rebuild_seconds, 1),
         },
         {
-            "path": "block-native (kernels on)",
+            "path": "block-native (kernel views)",
             "seconds_total": round(native_seconds, 3),
             "columns_per_second": round(num_columns / native_seconds, 1),
         },
@@ -192,6 +241,15 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result):
                 f"{num_columns} columns x {MIN_ROWS}-{MAX_ROWS} rows "
                 f"(speedup {speedup:.2f}x, bar {SPEEDUP_BAR:.0f}x, "
                 f"hits {stats['kernel_hits']}, fallbacks {stats['kernel_fallbacks']})"
+            ),
+        )
+        + "\n\n"
+        + format_table(
+            crossover,
+            title=(
+                f"E15 crossover — annotate_corpus time per column on a warm typer, "
+                f"{CROSSOVER_TABLES} tables per row count, median of {CROSSOVER_REPEATS} "
+                f"(MIN_KERNEL_ROWS = {colblock.MIN_KERNEL_ROWS}, not gated)"
             ),
         ),
     )
@@ -208,6 +266,8 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result):
                 "speedup_bar": SPEEDUP_BAR,
                 "kernel_stats": stats,
                 "stage_timings": timings,
+                "crossover": crossover,
+                "min_kernel_rows": colblock.MIN_KERNEL_ROWS,
             },
             indent=2,
         )

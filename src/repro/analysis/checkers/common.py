@@ -50,14 +50,6 @@ def walk_in_function(func: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def name_loaded_in(node: ast.AST, name: str) -> bool:
-    """Is *name* read anywhere under *node* (including nested functions)?"""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == name:
-            return True
-    return False
-
-
 def statement_block_of(module, node: ast.stmt):
     """(parent, field-list) containing statement *node*, or (None, None)."""
     parent = module.parent(node)
@@ -75,13 +67,6 @@ def enclosing_function(module, node: ast.AST):
     """Innermost function def lexically containing *node*, or None."""
     for ancestor in module.ancestors(node):
         if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return ancestor
-    return None
-
-
-def enclosing_class(module, node: ast.AST):
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.ClassDef):
             return ancestor
     return None
 

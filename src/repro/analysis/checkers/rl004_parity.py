@@ -1,7 +1,7 @@
 """RL004: parity hygiene — no nondeterminism sources in production code.
 
 The parity contract (docs/ARCHITECTURE.md): every execution shape — serial,
-multiprocess, pickle/shm transports, pool, kernels on or off — produces
+multiprocess, pickle/shm transports, pool, kernel views or per-value — produces
 bit-identical predictions.  That contract dies the moment an unseeded RNG,
 a wall-clock value, a PYTHONHASHSEED-dependent ``hash()``, or a set
 iteration order can reach a result or a codec byte layout.

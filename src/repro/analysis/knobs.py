@@ -27,23 +27,15 @@ TABLE_END = "<!-- knob-table:end -->"
 
 @dataclass(frozen=True)
 class Knob:
-    name: str  # the environment variable, e.g. "REPRO_COLUMNAR_KERNELS"
+    name: str  # the environment variable, e.g. "REPRO_EXAMPLE"
     default: str  # rendered default ("unset" when there is none)
     knob_type: str  # operator-facing type, e.g. "float, seconds"
     defined_in: str  # repo-relative module that reads it
     description: str  # one-line operator meaning
 
 
-KNOWN_KNOBS = (
-    Knob(
-        name="REPRO_COLUMNAR_KERNELS",
-        default="1",
-        knob_type="bool (0/false/no/off disable)",
-        defined_in="src/repro/core/colblock.py",
-        description="Kill switch for the block-native columnar kernels; "
-        "disabled processes fall back to per-value profiling.",
-    ),
-)
+#: Every registered knob.  Empty: the program reads no ``REPRO_*`` variable.
+KNOWN_KNOBS: tuple[Knob, ...] = ()
 
 
 def knob_names() -> frozenset:

@@ -47,7 +47,6 @@ lazily) so that ``table.py`` and the transport can both import it.
 
 from __future__ import annotations
 
-import os
 import random
 import statistics as pystats
 import struct
@@ -79,8 +78,7 @@ __all__ = [
     "kernel_unique_fraction",
     "kernel_sample_indices",
     "kernel_character_template",
-    "kernels_enabled",
-    "set_kernels_enabled",
+    "MIN_KERNEL_ROWS",
     "kernel_stats",
     "reset_kernel_stats",
     "record_encode_fallback",
@@ -197,29 +195,15 @@ _NULL_CODES = np.array(
     dtype=np.uint64,
 )
 
-# ------------------------------------------------------------------ switches
+# ------------------------------------------------------------------ routing
 
-_ENABLED = os.environ.get("REPRO_COLUMNAR_KERNELS", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
-
-
-def kernels_enabled() -> bool:
-    """Whether the columnar kernels are active for this process."""
-
-    return _ENABLED
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Toggle the kernels; returns the previous setting."""
-
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
+#: Shortest column :meth:`repro.core.table.Table.to_block` gives a kernel
+#: view.  Building a view and the first ``data_type`` read pay a fixed
+#: per-column cost that only long columns win back; shorter columns stay on
+#: the per-value path, which the kernels reproduce bit for bit, so the bound
+#: moves time only.  Set from E15's crossover table
+#: (``benchmarks/test_bench_columnar_kernels.py``).
+MIN_KERNEL_ROWS = 100
 
 
 # ------------------------------------------------------------------ counters

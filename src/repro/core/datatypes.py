@@ -49,11 +49,6 @@ class DataType(str, Enum):
         """Whether values of this type can be treated as numbers."""
         return self in (DataType.INTEGER, DataType.FLOAT)
 
-    @property
-    def is_temporal(self) -> bool:
-        """Whether values of this type encode points in time."""
-        return self in (DataType.DATE, DataType.DATETIME)
-
 
 #: Cell contents treated as missing values during inference and profiling.
 NULL_TOKENS = frozenset(

@@ -155,10 +155,6 @@ class TypeOntology:
         """Map a name, label, or synonym to a canonical type name."""
         return self._synonym_index.get(normalize_type_name(name_or_synonym))
 
-    def synonym_index(self) -> Mapping[str, str]:
-        """Read-only view of the alias → canonical-name mapping."""
-        return dict(self._synonym_index)
-
     def types_of_kind(self, kind: DataKind) -> list[SemanticType]:
         """All types whose expected data kind is *kind*."""
         return [t for t in self._types.values() if t.kind is kind]

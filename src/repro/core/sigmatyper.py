@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.adaptation.customer import CustomerContext
 from repro.adaptation.global_model import GlobalModel, GlobalModelConfig
 from repro.adaptation.local_model import LocalModelConfig
-from repro.core import colblock
 from repro.core.aggregation import calibrate_tau
 from repro.core.errors import ConfigurationError, PipelineError
 from repro.core.ontology import TypeOntology, UNKNOWN_TYPE
@@ -55,6 +54,14 @@ class SigmaTyperConfig:
     private_classifier_copies: bool = False
     #: Candidates reported per column in the final prediction.
     top_k: int = 3
+
+
+def _annotate_columnar(
+    annotate_many: Callable[[list[Table]], list[TablePrediction]], tables: Sequence[Table]
+) -> list[TablePrediction]:
+    """Shard function of :meth:`SigmaTyper.annotate_corpus`: convert the
+    shard's tables where the shard runs, then annotate them."""
+    return annotate_many([table.to_block() for table in tables])
 
 
 class SigmaTyper:
@@ -240,25 +247,21 @@ class SigmaTyper:
         column blocks instead of pickle (see :mod:`repro.serving.transport`),
         again with bit-identical results.
 
-        While the block-native kernels are enabled process-wide
-        (:func:`repro.core.colblock.kernels_enabled`), in-process backends
-        convert the tables via :meth:`~repro.core.table.Table.to_block` so
-        profiling and featurization run vectorized; multiprocess workers
-        already receive kernel-ready views from the block transports.
-        Predictions are bit-identical either way.
+        Whatever the backend, each shard converts its own tables with
+        :meth:`~repro.core.table.Table.to_block` where it runs — in-process
+        for ``serial``, inside the worker for ``multiprocess`` — so
+        profiling and featurization of every column of at least
+        :data:`~repro.core.colblock.MIN_KERNEL_ROWS` rows run vectorized.
+        Predictions are bit-identical to the per-value path either way.
         """
-        from repro.serving.backends import MultiprocessBackend, resolve_backend
+        from repro.serving.backends import resolve_backend
 
         tables = list(tables)
         execution = resolve_backend(backend)
-        if colblock.kernels_enabled() and not isinstance(execution, MultiprocessBackend):
-            tables = [table.to_block() for table in tables]
-        if customer_id is None:
-            return execution.run(self.global_model.pipeline.annotate_many, tables)
-        context = self.customer(customer_id)
-        if not context.local_model.has_adaptations():
-            return execution.run(self.global_model.pipeline.annotate_many, tables)
-        return execution.run(partial(self._annotate_adapted_many, customer_id), tables)
+        annotate_many = self.global_model.pipeline.annotate_many
+        if customer_id is not None and self.customer(customer_id).local_model.has_adaptations():
+            annotate_many = partial(self._annotate_adapted_many, customer_id)
+        return execution.run(partial(_annotate_columnar, annotate_many), tables)
 
     def _annotate_adapted_many(
         self, customer_id: str, tables: Sequence[Table]

@@ -79,8 +79,6 @@ class Column:
         off the received segment).  Resolution runs once per column; a
         ``None`` result is remembered.
         """
-        if not colblock.kernels_enabled():
-            return None
         if self._block_view is None and not self._view_checked:
             self._view_checked = True
             maker = getattr(self.values, "kernel_view", None)
@@ -570,49 +568,48 @@ class Table:
     def to_block(self) -> "Table":
         """Columnar twin of this table: same cell values, kernel views attached.
 
-        The serial-path adapter of the block-native kernels: each column's
-        values are encoded once into the typed tag/offset/blob layout
+        The serial-path adapter of the block-native kernels: each column of
+        at least :data:`~repro.core.colblock.MIN_KERNEL_ROWS` rows is encoded
+        once into the typed tag/offset/blob layout
         (:func:`repro.core.colblock.view_from_values`) and a new
         :class:`Column` is built over the *same* values list with the view
         attached, so profiling and featurization run vectorized while every
-        per-value fallback still sees the original Python objects.  Columns
-        whose cells fall outside the block vocabulary keep the Python path
-        (counted in ``kernel_stats()["encode_fallbacks"]``).
+        per-value fallback still sees the original Python objects.  Shorter
+        columns, and columns whose cells fall outside the block vocabulary
+        (counted in ``kernel_stats()["encode_fallbacks"]``), enter the twin
+        unchanged and keep the per-value path.
 
         The twin is cached per column-list identity; :meth:`add_column`
         invalidates it.  Twins share values and metadata with the source —
         mutate-and-invalidate workflows should drop the twin and re-convert.
-        When kernels are disabled the table itself is returned unchanged.
+        When no column gets a new view the table itself is returned.
         """
-        if not colblock.kernels_enabled():
-            return self
-        # Tables whose columns already resolve views (e.g. built by
-        # :meth:`from_block` over a transport segment) are block-native
-        # as-is — re-encoding them would only copy buffers.
-        resolved = [column._kernel_view() for column in self.columns]
-        if all(view is not None for view in resolved):
-            return self
         key = tuple(id(column) for column in self.columns)
-        if self._block_twin is not None and self._block_twin_key == key:
-            return self._block_twin
-        columns = []
-        for column, existing in zip(self.columns, resolved):
-            view = existing if existing is not None else colblock.view_from_values(column.values)
-            if view is None:
-                colblock.record_encode_fallback()
-            columns.append(
-                Column.from_view(
-                    column.name,
-                    column.values,
-                    semantic_type=column.semantic_type,
-                    metadata=column.metadata,
-                    block_view=view,
+        if self._block_twin_key != key:
+            columns = []
+            for column in self.columns:
+                view = None
+                # Columns that already resolve a view (built by :meth:`from_block`
+                # over a transport segment) are block-native as-is.
+                if len(column) >= colblock.MIN_KERNEL_ROWS and column._kernel_view() is None:
+                    view = colblock.view_from_values(column.values)
+                    if view is None:
+                        colblock.record_encode_fallback()
+                columns.append(
+                    column
+                    if view is None
+                    else Column.from_view(
+                        column.name,
+                        column.values,
+                        semantic_type=column.semantic_type,
+                        metadata=column.metadata,
+                        block_view=view,
+                    )
                 )
-            )
-        twin = Table(columns, name=self.name, metadata=self.metadata)
-        self._block_twin = twin
-        self._block_twin_key = key
-        return twin
+            changed = any(new is not old for new, old in zip(columns, self.columns))
+            self._block_twin = Table(columns, name=self.name, metadata=self.metadata) if changed else None
+            self._block_twin_key = key
+        return self if self._block_twin is None else self._block_twin
 
     @classmethod
     def from_columns_dict(

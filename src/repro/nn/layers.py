@@ -80,12 +80,6 @@ class Dense(Layer):
     def gradients(self) -> list[np.ndarray]:
         return [self.grad_weights, self.grad_bias]
 
-    def l2_penalty(self) -> float:
-        """Current L2 regularisation term (added to the reported loss)."""
-        if self.l2 <= 0.0:
-            return 0.0
-        return 0.5 * self.l2 * float((self.weights ** 2).sum())
-
 
 class ReLU(Layer):
     """Elementwise rectifier."""

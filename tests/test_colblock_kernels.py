@@ -27,26 +27,25 @@ from repro.profiler.statistics import ColumnStatistics, character_template, prof
 from repro.serving import ColumnBlockCodec
 
 
+#: The row bound the program ships with, read before any test lowers it.
+SHIPPED_MIN_KERNEL_ROWS = colblock.MIN_KERNEL_ROWS
+
+
 @pytest.fixture(autouse=True)
-def _kernels_enabled():
-    """Every test starts with kernels on and pristine counters."""
-    previous = colblock.set_kernels_enabled(True)
+def _kernels_on_every_column(monkeypatch):
+    """Every test gives views to columns of any length (the parity cases are
+    short) and starts with pristine counters."""
+    monkeypatch.setattr(colblock, "MIN_KERNEL_ROWS", 0)
     colblock.reset_kernel_stats()
-    yield
-    colblock.set_kernels_enabled(previous)
 
 
 def _python_profile(values, name="col"):
-    """The seed per-value profile of *values*, computed with kernels off."""
-    colblock.set_kernels_enabled(False)
-    try:
-        return profile_column(Column(name, list(values)))
-    finally:
-        colblock.set_kernels_enabled(True)
+    """The seed per-value profile of *values*: a plain list-backed column."""
+    return profile_column(Column(name, list(values)))
 
 
 def _kernel_profile(values, name="col"):
-    """The same profile through ``Table.to_block()`` with kernels on."""
+    """The same profile through ``Table.to_block()``'s kernel view."""
     table = Table([Column(name, list(values))], name="t").to_block()
     return profile_column(table.columns[0])
 
@@ -160,7 +159,6 @@ def test_derived_value_parity_across_column_api():
             "code-9", "a b", "(3)"]
     for trial in range(25):
         values = [rng.choice(pool) for _ in range(rng.randint(1, 60))]
-        colblock.set_kernels_enabled(False)
         ref = Column("c", list(values))
         reference = (
             ref.data_type,
@@ -172,7 +170,6 @@ def test_derived_value_parity_across_column_api():
             repr(ref.unique_fraction()),
             repr(ref.null_fraction()),
         )
-        colblock.set_kernels_enabled(True)
         block = Table([Column("c", list(values))], name="t").to_block()
         col = block.columns[0]
         got = (
@@ -286,13 +283,38 @@ def test_to_block_invalidated_by_add_column():
     assert len(second.columns) == 2
 
 
-def test_to_block_disabled_is_identity():
-    table = Table([Column("a", ["x"])], name="t")
-    colblock.set_kernels_enabled(False)
-    try:
-        assert table.to_block() is table
-    finally:
-        colblock.set_kernels_enabled(True)
+def _comparable(predictions):
+    """Prediction content without wall-clock timings (bit-exact floats)."""
+    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
+
+
+def test_row_bound_picks_the_columnar_path(monkeypatch, pretrained_typer):
+    """With the shipped bound, a column one row short of it stays per-value,
+    a column of exactly the bound gets a view, and a corpus mixing both
+    annotates bit-identically to the per-value path."""
+    from repro.corpus import GitTablesConfig, GitTablesGenerator
+
+    bound = SHIPPED_MIN_KERNEL_ROWS
+    monkeypatch.setattr(colblock, "MIN_KERNEL_ROWS", bound)
+    corpus = [
+        table
+        for rows in (bound - 1, bound)
+        for table in GitTablesGenerator(
+            GitTablesConfig(num_tables=2, seed=rows, min_rows=rows, max_rows=rows)
+        ).generate_corpus()
+    ]
+    short, long_ = corpus[0], corpus[-1]
+    assert (short.num_rows, long_.num_rows) == (bound - 1, bound)
+    assert short.to_block() is short
+    assert all(c._kernel_view() is None for c in short.columns)
+    assert all(c._kernel_view() is not None for c in long_.to_block().columns)
+
+    reference = _comparable([pretrained_typer.annotate(table.copy()) for table in corpus])
+    colblock.reset_kernel_stats()
+    assert _comparable(pretrained_typer.annotate_corpus([t.copy() for t in corpus])) == reference
+    # Only the long tables' columns reached the kernels.
+    data_type = colblock.kernel_stats()["by_op"]["data_type"]
+    assert data_type["hits"] + data_type["fallbacks"] == sum(t.num_columns for t in corpus[2:])
 
 
 def test_pickle_strips_kernel_views():

@@ -14,7 +14,9 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis import run_lint
+import pytest
+
+from repro.analysis import knobs, run_lint
 from repro.analysis.checkers.rl001_async_blocking import AsyncBlockingChecker
 from repro.analysis.checkers.rl002_lock_discipline import LockDisciplineChecker
 from repro.analysis.checkers.rl003_resource_lifecycle import ResourceLifecycleChecker
@@ -23,7 +25,7 @@ from repro.analysis.checkers.rl005_stats_lock import StatsLockChecker
 from repro.analysis.checkers.rl006_env_knobs import EnvKnobChecker
 from repro.analysis.checkers.rl007_export_audit import ExportAuditChecker
 from repro.analysis.cli import main as cli_main
-from repro.analysis.knobs import embedded_table_problems, render_knob_table
+from repro.analysis.knobs import Knob, embedded_table_problems, render_knob_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -319,20 +321,36 @@ def test_rl005_sees_lock_inherited_from_same_module_base(tmp_path):
 
 
 # ------------------------------------------------------------------- RL006
+#: The checker compares reads against the registry, which the program leaves
+#: empty; each RL006 test registers this one knob instead.
+_TEST_KNOB = Knob(
+    name="REPRO_TEST_KNOB",
+    default="1",
+    knob_type="bool",
+    defined_in="src/mod.py",
+    description="Registered only by the RL006 tests.",
+)
+
+
+@pytest.fixture()
+def registered_test_knob(monkeypatch):
+    monkeypatch.setattr(knobs, "KNOWN_KNOBS", (_TEST_KNOB,))
+
+
 _ALL_KNOB_READS = """\
 import os
 
 def configured():
-    kernels = os.environ.get("REPRO_COLUMNAR_KERNELS")
-    again = os.getenv("REPRO_COLUMNAR_KERNELS")
-    return kernels, again
+    knob = os.environ.get("REPRO_TEST_KNOB")
+    again = os.getenv("REPRO_TEST_KNOB")
+    return knob, again
 
 def field(name):
-    return os.environ.get(f"REPRO_COLUMNAR_{name.upper()}")
+    return os.environ.get(f"REPRO_TEST_{name.upper()}")
 """
 
 
-def test_rl006_flags_unregistered_and_too_dynamic_reads(tmp_path):
+def test_rl006_flags_unregistered_and_too_dynamic_reads(tmp_path, registered_test_knob):
     result = _lint(
         tmp_path,
         _ALL_KNOB_READS
@@ -351,17 +369,17 @@ def rogue(suffix):
     assert any("too broad" in m for m in messages)
 
 
-def test_rl006_quiet_when_every_read_is_registered(tmp_path):
+def test_rl006_quiet_when_every_read_is_registered(tmp_path, registered_test_knob):
     result = _lint(tmp_path, _ALL_KNOB_READS, EnvKnobChecker())
     assert result.findings == [], _messages(result)
 
 
-def test_rl006_reports_stale_registry_entries(tmp_path):
+def test_rl006_reports_stale_registry_entries(tmp_path, registered_test_knob):
     """A registered knob nothing reads is flagged against the registry."""
     result = _lint(tmp_path, "import os\n", EnvKnobChecker())
     assert result.findings, "expected stale-registry findings"
     assert all(f.path == "src/repro/analysis/knobs.py" for f in result.findings)
-    assert any("REPRO_COLUMNAR_KERNELS" in f.message for f in result.findings)
+    assert any("REPRO_TEST_KNOB" in f.message for f in result.findings)
 
 
 # ------------------------------------------------------------------- RL007

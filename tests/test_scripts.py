@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.knobs import TABLE_BEGIN, TABLE_END, render_knob_table
+from repro.analysis import knobs
+from repro.analysis.knobs import TABLE_BEGIN, TABLE_END, Knob, render_knob_table
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,6 +30,15 @@ def _load_script(name: str):
 
 
 # ---------------------------------------------------------------- doc links
+_TEST_KNOB = Knob(
+    name="REPRO_TEST_KNOB",
+    default="1",
+    knob_type="bool",
+    defined_in="src/mod.py",
+    description="Registered only by the knob-table tests.",
+)
+
+
 @pytest.fixture()
 def doc_repo(tmp_path, monkeypatch):
     """A tiny doc tree + the check_doc_links module pointed at it."""
@@ -40,6 +50,8 @@ def doc_repo(tmp_path, monkeypatch):
     monkeypatch.setattr(mod, "REPO_ROOT", tmp_path)
     monkeypatch.setattr(mod, "DOC_FILES", ["README.md"])
     monkeypatch.setattr(mod, "KNOB_TABLE_FILES", [])
+    # The program registers no knob; the knob-table tests need one row.
+    monkeypatch.setattr(knobs, "KNOWN_KNOBS", (_TEST_KNOB,))
     return mod, tmp_path
 
 
@@ -108,7 +120,7 @@ def test_doc_links_knob_table_removed_row_fails(doc_repo, capsys):
     mod, root = doc_repo
     (root / "README.md").write_text("no links\n", encoding="utf-8")
     rows = render_knob_table().splitlines()
-    removed = [line for line in rows if "REPRO_COLUMNAR_KERNELS" not in line]
+    removed = [line for line in rows if "REPRO_TEST_KNOB" not in line]
     assert len(removed) == len(rows) - 1
     (root / "docs" / "SERVING.md").write_text(
         f"# Ops\n\n{TABLE_BEGIN}\n" + "\n".join(removed) + f"\n{TABLE_END}\n",
@@ -117,7 +129,7 @@ def test_doc_links_knob_table_removed_row_fails(doc_repo, capsys):
     mod.KNOB_TABLE_FILES = ["docs/SERVING.md"]
     assert mod.main() == 1
     out = capsys.readouterr().out
-    assert "REPRO_COLUMNAR_KERNELS" in out
+    assert "REPRO_TEST_KNOB" in out
 
 
 def test_doc_links_knob_table_missing_markers_fails(doc_repo, capsys):
