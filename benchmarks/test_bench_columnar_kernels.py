@@ -44,7 +44,6 @@ import pytest
 
 from repro.core import colblock
 from repro.core.table import Table
-from repro.core.timings import reset_stage_timings
 from repro.corpus import GitTablesConfig, GitTablesGenerator
 from repro.evaluation import format_table
 from repro.profiler.statistics import profile_column
@@ -121,11 +120,6 @@ def _timed_pass(payload: bytes, featurizer, kernels: bool) -> tuple[float, int]:
     return time.perf_counter() - started, num_columns
 
 
-def _comparable(predictions):
-    """Prediction content without wall-clock timings (bit-exact floats)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
-
-
 def _crossover(sigmatyper, monkeypatch) -> list[dict]:
     """Median time per column of ``annotate_corpus``, kernels against
     per-value, for tables of each of ``CROSSOVER_ROWS`` rows."""
@@ -170,7 +164,6 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, 
     payload = kernel_payload
 
     colblock.reset_kernel_stats()
-    reset_stage_timings()
 
     # Warm the process-wide caches once per path so the timed passes compare
     # kernel arithmetic, not cache population.
@@ -192,8 +185,8 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, 
     # produce bit-identical predictions on plain list-backed copies, which
     # the pipeline reads per value.
     plain = [table.copy() for table in _decode_tables(payload)]
-    reference = _comparable(sigmatyper.global_model.pipeline.annotate_many(plain))
-    native_predictions = _comparable(sigmatyper.annotate_corpus(_decode_tables(payload)))
+    reference = sigmatyper.global_model.pipeline.annotate_many(plain)
+    native_predictions = sigmatyper.annotate_corpus(_decode_tables(payload))
     assert native_predictions == reference, (
         "block-native kernels diverged from the per-value path"
     )
@@ -217,8 +210,6 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, 
         f"({rebuild_seconds:.3f}s vs {native_seconds:.3f}s)"
     )
 
-    summary = sigmatyper.summary()
-    timings = summary["timings"]
     crossover = _crossover(sigmatyper, monkeypatch)
     rows = [
         {
@@ -265,7 +256,6 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, 
                 "speedup": round(speedup, 2),
                 "speedup_bar": SPEEDUP_BAR,
                 "kernel_stats": stats,
-                "stage_timings": timings,
                 "crossover": crossover,
                 "min_kernel_rows": colblock.MIN_KERNEL_ROWS,
             },

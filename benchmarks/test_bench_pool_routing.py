@@ -63,11 +63,6 @@ def _fresh(tables):
     return [table.copy() for table in tables]
 
 
-def _comparable(predictions):
-    """Prediction content without wall-clock timings (bit-exact floats)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
-
-
 async def _worker_requests(pool: AnnotationPool, timeout: float = 10.0) -> list[int]:
     """Requests each worker slot served, read from pongs that arrive after
     every worker's last result (frames arrive in order)."""
@@ -132,7 +127,7 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
     # a copy.
     sigmatyper.annotate_corpus(_fresh(tables))
     repeat_mix = tables * ROUNDS
-    repeat_reference = _comparable([sigmatyper.annotate(t) for t in _fresh(tables)]) * ROUNDS
+    repeat_reference = [sigmatyper.annotate(t) for t in _fresh(tables)] * ROUNDS
     # Distinct mix: each run gets its own unpickled copy of the typer, whose
     # header caches have never seen these tables.  The serial reference runs
     # last, so no run inherits its warmth.
@@ -183,12 +178,10 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
             add_row(f"service, {mix_name}, {shape}", service_elapsed, columns)
             runs.append((mix_name, service_results))
 
-    distinct_reference = _comparable(
-        [pickle.loads(snapshot).annotate(t) for t in _fresh(distinct)]
-    )
+    distinct_reference = [pickle.loads(snapshot).annotate(t) for t in _fresh(distinct)]
     references = {"repeat": repeat_reference, "distinct": distinct_reference}
     for mix_name, results in runs:
-        assert _comparable(results) == references[mix_name], (
+        assert results == references[mix_name], (
             f"a {mix_name}-mix run diverged from the serial path"
         )
 
@@ -207,7 +200,7 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
             return results, elapsed, pool.stats
 
     drill_results, drill_elapsed, drill_stats = asyncio.run(kill_drill())
-    assert _comparable(drill_results) == repeat_reference[: 2 * len(tables)], (
+    assert drill_results == repeat_reference[: 2 * len(tables)], (
         "predictions diverged across the worker death"
     )
     lost_requests = (2 * len(tables)) - drill_stats.completed_total

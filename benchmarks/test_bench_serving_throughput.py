@@ -62,11 +62,6 @@ def _fresh(tables):
     return [table.copy() for table in tables]
 
 
-def _comparable(predictions):
-    """Prediction content without wall-clock timings (bit-exact floats)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
-
-
 def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result):
     tables = list(serving_corpus)
     num_columns = sum(table.num_columns for table in tables)
@@ -92,11 +87,11 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
             predictions = sigmatyper.annotate_corpus(batch, backend=backend)
             seconds.append(time.perf_counter() - started)
             if reference is None:
-                reference = _comparable(predictions)
+                reference = predictions
             else:
                 # Parity: every call, serial or sharded, must be bit-identical
                 # to the first serial call.
-                assert _comparable(predictions) == reference, (
+                assert predictions == reference, (
                     f"{backend_name}:{workers} diverged from the serial path"
                 )
 

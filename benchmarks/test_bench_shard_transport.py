@@ -84,11 +84,6 @@ def _fresh(tables):
     return [table.copy() for table in tables]
 
 
-def _comparable(predictions):
-    """Prediction content without wall-clock timings (bit-exact floats)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
-
-
 def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result):
     reset_transport_stats()
     tables = list(transport_corpus)
@@ -99,7 +94,7 @@ def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result)
     sigmatyper.annotate_corpus(_fresh(tables))
 
     started = time.perf_counter()
-    reference = _comparable(sigmatyper.annotate_corpus(_fresh(tables)))
+    reference = sigmatyper.annotate_corpus(_fresh(tables))
     serial_seconds = time.perf_counter() - started
 
     transports = [
@@ -125,7 +120,7 @@ def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result)
         started = time.perf_counter()
         predictions = sigmatyper.annotate_corpus(batch, backend=backend)
         elapsed = time.perf_counter() - started
-        assert _comparable(predictions) == reference, (
+        assert predictions == reference, (
             f"{name} transport diverged from the serial path"
         )
         stats = transport.stats

@@ -113,8 +113,10 @@ class TablePrediction:
     columns: list[ColumnPrediction] = field(default_factory=list)
     #: Which pipeline steps ran, and for how many columns — the cascade trace.
     step_trace: dict[str, int] = field(default_factory=dict)
-    #: Wall-clock seconds spent per step (filled by the pipeline).
-    step_seconds: dict[str, float] = field(default_factory=dict)
+    #: Wall-clock seconds spent per step (filled by the pipeline).  The only
+    #: timer in the cascade; ``==`` ignores it, so two runs that typed the
+    #: same table the same way compare equal however long each took.
+    step_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def __iter__(self):
         return iter(self.columns)

@@ -499,23 +499,18 @@ class SigmaTyper:
     def summary(self) -> dict[str, object]:
         """System-level report (pipeline steps, τ, customers, adaptations).
 
-        Once any multiprocess run shipped shards, the process-wide
-        per-transport accounting (``bytes_shipped``, ``shm_bytes``,
-        ``pickle_fallbacks`` — see :mod:`repro.serving.transport`) is
-        included under ``shard_transport``.
+        The process-wide sections of :func:`repro.serving.stats.shared_sections`
+        follow: ``columnar_kernels`` always (block-native kernel hit/fallback
+        counters — :func:`repro.core.colblock.kernel_stats`), and
+        ``shard_transport`` once any multiprocess run shipped shards
+        (``bytes_shipped``, ``shm_bytes``, ``pickle_fallbacks`` — see
+        :mod:`repro.serving.transport`).  Every serving ``summary()`` spells
+        these counters identically (docs/SERVING.md#stats-vocabulary).
 
-        Two always-present operator keys round out the report:
-        ``columnar_kernels`` (block-native kernel hit/fallback counters —
-        :func:`repro.core.colblock.kernel_stats`) and ``timings`` (per-stage
-        exclusive wall-clock for profile / featurize / classify / match /
-        lookup — :func:`repro.core.timings.stage_timings`), so E10/E15 can
-        attribute speedups instead of reporting one opaque col/s number.
+        Time is reported per prediction, in
+        :attr:`~repro.core.prediction.TablePrediction.step_seconds`.
         """
-        # The shared sections (shard_transport / columnar_kernels / timings)
-        # come from the serving layer's unified stats vocabulary, so this
-        # report and every serving summary() spell the same counters
-        # identically (docs/SERVING.md#stats-vocabulary).
-        from repro.serving.stats import render_stats
+        from repro.serving.stats import shared_sections
 
         report: dict[str, object] = {
             "pipeline_steps": self.global_model.pipeline.step_names,
@@ -527,5 +522,5 @@ class SigmaTyper:
                 for customer_id, context in self._customers.items()
             },
         }
-        report.update(render_stats(typer=self))
+        report.update(shared_sections())
         return report

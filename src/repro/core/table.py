@@ -363,15 +363,15 @@ class Table:
         self.name = name
         self.columns: list[Column] = columns
         self.metadata: dict[str, object] = dict(metadata or {})
-        # Cached result of to_block(), keyed by the identity of the column
-        # list it was built from (see to_block).
+        # Cached result of to_block() and the column objects it was built
+        # from (see to_block).
         self._block_twin: "Table | None" = None
-        self._block_twin_key: tuple | None = None
+        self._block_twin_source: tuple[Column, ...] | None = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_block_twin"] = None
-        state["_block_twin_key"] = None
+        state["_block_twin_source"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -458,7 +458,7 @@ class Table:
             )
         self.columns.append(column)
         self._block_twin = None
-        self._block_twin_key = None
+        self._block_twin_source = None
 
     def drop_column(self, key: int | str) -> "Table":
         """Return a new table without the addressed column."""
@@ -579,13 +579,19 @@ class Table:
         (counted in ``kernel_stats()["encode_fallbacks"]``), enter the twin
         unchanged and keep the per-value path.
 
-        The twin is cached per column-list identity; :meth:`add_column`
+        The twin is cached against the column objects it was built from,
+        compared with ``is``: the cache holds them, so a replaced column's
+        freed address cannot be mistaken for it.  :meth:`add_column`
         invalidates it.  Twins share values and metadata with the source —
         mutate-and-invalidate workflows should drop the twin and re-convert.
         When no column gets a new view the table itself is returned.
         """
-        key = tuple(id(column) for column in self.columns)
-        if self._block_twin_key != key:
+        source = self._block_twin_source
+        if (
+            source is None
+            or len(source) != len(self.columns)
+            or any(old is not new for old, new in zip(source, self.columns))
+        ):
             columns = []
             for column in self.columns:
                 view = None
@@ -608,7 +614,7 @@ class Table:
                 )
             changed = any(new is not old for new, old in zip(columns, self.columns))
             self._block_twin = Table(columns, name=self.name, metadata=self.metadata) if changed else None
-            self._block_twin_key = key
+            self._block_twin_source = tuple(self.columns)
         return self if self._block_twin is None else self._block_twin
 
     @classmethod

@@ -62,15 +62,6 @@ class LabelModel(ABC):
     ) -> list[dict[str, float]]:
         """Per column, a ``{type: probability-like score}`` distribution."""
 
-    def label_column(
-        self,
-        functions: Sequence[LabelingFunction],
-        column: Column,
-        table: Table | None = None,
-    ) -> dict[str, float]:
-        """Convenience wrapper for a single column."""
-        return self.label_distributions(functions, [(column, table)])[0]
-
 
 class MajorityVoteLabelModel(LabelModel):
     """Weight-scaled soft majority vote over the LF confidences.

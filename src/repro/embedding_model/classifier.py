@@ -25,7 +25,6 @@ from repro.core.errors import ModelNotTrainedError
 from repro.core.ontology import UNKNOWN_TYPE
 from repro.core.prediction import TypeScore
 from repro.core.table import Column, Table
-from repro.core.timings import stage
 from repro.corpus.collection import TableCorpus
 from repro.embedding_model.dataset import ColumnDataset, LabelVocabulary, build_dataset
 from repro.embedding_model.features import ColumnFeaturizer
@@ -158,13 +157,10 @@ class TableEmbeddingClassifier:
 
     def predict_proba(self, column: Column, table: Table | None = None) -> dict[str, float]:
         """Class probabilities for one column as ``{type: probability}``."""
-        with stage("classify"):
-            model, vocabulary = self._require_fitted()
-            features = self.featurizer.extract(column, table)
-            probabilities = model.predict_proba(features[None, :])[0]
-            return {
-                vocabulary.type_at(index): float(p) for index, p in enumerate(probabilities)
-            }
+        model, vocabulary = self._require_fitted()
+        features = self.featurizer.extract(column, table)
+        probabilities = model.predict_proba(features[None, :])[0]
+        return {vocabulary.type_at(index): float(p) for index, p in enumerate(probabilities)}
 
     def predict_proba_batch(
         self, rows: Sequence[tuple[Column, Table | None]]
@@ -178,12 +174,11 @@ class TableEmbeddingClassifier:
         vocabulary.  This is the pipeline's hot path: one forward per table
         instead of one per column.
         """
-        with stage("classify"):
-            model, _ = self._require_fitted()
-            if not rows:
-                return np.zeros((0, len(self.vocabulary or [])), dtype=np.float64)
-            features = self.featurizer.extract_many(list(rows))
-            return model.predict_proba(features)
+        model, _ = self._require_fitted()
+        if not rows:
+            return np.zeros((0, len(self.vocabulary or [])), dtype=np.float64)
+        features = self.featurizer.extract_many(list(rows))
+        return model.predict_proba(features)
 
     def predict_columns_batch(
         self, rows: Sequence[tuple[Column, Table | None]], top_k: int = 5

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core.datatypes import DataType
 from repro.core.table import Column, Table
-from repro.core.timings import stage
 from repro.matching.embeddings import SubwordEmbedder
 from repro.profiler.statistics import profile_column
 
@@ -181,11 +180,10 @@ class ColumnFeaturizer:
         so they are memoized on the column.  Only the cheap context block
         depends on the surrounding table.
         """
-        with stage("featurize"):
-            blocks = [self._column_features(column)]
-            if self.config.include_table_context:
-                blocks.append(self._context_features(column, table))
-            return np.concatenate(blocks)
+        blocks = [self._column_features(column)]
+        if self.config.include_table_context:
+            blocks.append(self._context_features(column, table))
+        return np.concatenate(blocks)
 
     def _column_features(self, column: Column) -> np.ndarray:
         """The memoized table-independent feature prefix (treat as read-only)."""
@@ -223,13 +221,12 @@ class ColumnFeaturizer:
         column, per-value shape masks and phrase embeddings are cached across
         the whole batch, and a single allocation holds the output matrix.
         """
-        with stage("featurize"):
-            if not columns:
-                return np.zeros((0, self.dim), dtype=np.float64)
-            matrix = np.empty((len(columns), self.dim), dtype=np.float64)
-            for row, (column, table) in enumerate(columns):
-                matrix[row] = self.extract(column, table)
-            return matrix
+        if not columns:
+            return np.zeros((0, self.dim), dtype=np.float64)
+        matrix = np.empty((len(columns), self.dim), dtype=np.float64)
+        for row, (column, table) in enumerate(columns):
+            matrix[row] = self.extract(column, table)
+        return matrix
 
     # ----------------------------------------------------------------- blocks
     def _statistical_features(self, column: Column) -> np.ndarray:

@@ -21,7 +21,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.pipeline import PipelineStep
 from repro.core.prediction import TypeScore
 from repro.core.table import Column, Table
-from repro.core.timings import stage
 from repro.lookup.knowledge_base import KnowledgeBase
 from repro.lookup.labeling_functions import LabelingFunctionStore, LFContext
 from repro.lookup.regex_library import RegexLibrary
@@ -75,12 +74,6 @@ class ValueLookupStep(PipelineStep):
         self, column: Column, table: Table | None = None, column_index: int | None = None
     ) -> list[TypeScore]:
         """Rank candidate types for one column from its sampled values."""
-        with stage("lookup"):
-            return self._predict_column(column, table, column_index)
-
-    def _predict_column(
-        self, column: Column, table: Table | None, column_index: int | None
-    ) -> list[TypeScore]:
         config = self.config
         candidates: dict[str, float] = {}
 

@@ -35,7 +35,6 @@ from repro.core.ontology import DataKind, SemanticType, TypeOntology, UNKNOWN_TY
 from repro.core.pipeline import PipelineStep
 from repro.core.prediction import TypeScore
 from repro.core.table import Column, Table
-from repro.core.timings import stage
 from repro.matching.embeddings import SubwordEmbedder
 from repro.matching.fuzzy import (
     TOKEN_MATCH_CUTOFF,
@@ -340,39 +339,32 @@ class HeaderMatcher(PipelineStep):
     # ------------------------------------------------------------- prediction
     def predict_column(self, column: Column, table: Table | None = None) -> list[TypeScore]:
         """Rank candidate types for one column based on its header alone."""
-        with stage("match"):
-            header = normalize_header(column.name)
-            if not header:
-                return []
-            data_type = None
-            if self.config.filter_by_data_kind:
-                # The first read runs the column's whole value analysis.
-                with stage("profile"):
-                    data_type = column.data_type
-            cache_key = (header, data_type)
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                return list(cached)
-            best = dict(self._channel_scores(header))
+        header = normalize_header(column.name)
+        if not header:
+            return []
+        # The first data_type read runs the column's whole value analysis.
+        data_type = column.data_type if self.config.filter_by_data_kind else None
+        cache_key = (header, data_type)
+        cached = self._cache.get(cache_key)
+        if cached is not None:
+            return list(cached)
+        best = dict(self._channel_scores(header))
 
-            if data_type is not None and best:
-                best = self._filter_by_kind(data_type, best)
+        if data_type is not None and best:
+            best = self._filter_by_kind(data_type, best)
 
-            scores = [TypeScore(confidence=c, type_name=t) for t, c in best.items()]
-            scores.sort(key=lambda s: (-s.confidence, s.type_name))
-            result = scores[: self.config.top_k]
-            self._cache[cache_key] = result
-            return list(result)
+        scores = [TypeScore(confidence=c, type_name=t) for t, c in best.items()]
+        scores.sort(key=lambda s: (-s.confidence, s.type_name))
+        result = scores[: self.config.top_k]
+        self._cache[cache_key] = result
+        return list(result)
 
     def predict_columns(
         self, table: Table, column_indices: Sequence[int] | None = None
     ) -> dict[int, list[TypeScore]]:
         """Predict candidates for the addressed columns of *table*."""
-        with stage("match"):
-            indices = range(table.num_columns) if column_indices is None else column_indices
-            return {
-                index: self.predict_column(table.columns[index], table) for index in indices
-            }
+        indices = range(table.num_columns) if column_indices is None else column_indices
+        return {index: self.predict_column(table.columns[index], table) for index in indices}
 
     # ----------------------------------------------------------------- helpers
     def _channel_scores(self, header: str) -> dict[str, float]:

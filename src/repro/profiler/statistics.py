@@ -18,7 +18,6 @@ from typing import Sequence
 from repro.core import colblock
 from repro.core.datatypes import DataType
 from repro.core.table import Column
-from repro.core.timings import stage
 
 __all__ = ["ColumnStatistics", "profile_column", "character_template", "template_counts"]
 
@@ -176,15 +175,14 @@ def profile_column(column: Column, max_frequent: int = 10, max_templates: int = 
     explicit :meth:`~repro.core.table.Column.invalidate_cache` to refresh it.
     """
     def compute() -> ColumnStatistics:
-        with stage("profile"):
-            view = column._kernel_view()
-            if view is not None:
-                profile = colblock.kernel_profile(
-                    view, column.name, column.data_type, max_frequent, max_templates
-                )
-                if profile is not None:
-                    return profile
-            return _compute_profile(column, max_frequent, max_templates)
+        view = column._kernel_view()
+        if view is not None:
+            profile = colblock.kernel_profile(
+                view, column.name, column.data_type, max_frequent, max_templates
+            )
+            if profile is not None:
+                return profile
+        return _compute_profile(column, max_frequent, max_templates)
 
     return column._memo(("profile", max_frequent, max_templates), compute)
 

@@ -37,8 +37,8 @@ serve production traffic:
   (:class:`BackendSpec` and :class:`PoolSpec`), round-tripping every
   documented spec string;
 * :mod:`repro.serving.stats` — the unified stats vocabulary:
-  :func:`render_stats` composes every ``summary()`` in the layer from the
-  same canonical sections.
+  :func:`shared_sections` gives every ``summary()`` in the layer the same
+  process-wide sections.
 
 The parity contract below has one explicit, opt-in exception: an attached
 :class:`SloController` *degrades* predictions (shallower cascade) while an
@@ -72,7 +72,7 @@ from repro.serving.frontend import (
 )
 from repro.serving.pool import AnnotationPool, PoolStats
 from repro.serving.spec import BackendSpec, PoolSpec
-from repro.serving.stats import render_stats, shared_sections
+from repro.serving.stats import shared_sections
 from repro.serving.service import AnnotationService, ServiceStats
 from repro.serving.slo import SloConfig, SloController
 from repro.serving.transport import (
@@ -119,7 +119,6 @@ __all__ = [
     "PoolStats",
     "BackendSpec",
     "PoolSpec",
-    "render_stats",
     "shared_sections",
     "ServingError",
     "ConfigurationError",

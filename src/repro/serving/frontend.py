@@ -615,10 +615,9 @@ class AnnotationFrontend:
     def summary(self) -> dict[str, object]:
         """Edge + service report: admission counters, drain state, SLO, stats.
 
-        ``frontend`` is the edge's canonical :func:`~repro.serving.stats.
-        render_stats` section; ``service`` nests the wrapped component's own
-        ``summary()`` (a pool's, in ``pool=`` mode — its dispatcher section
-        then also appears under ``pool``).
+        ``frontend`` is the edge's own section; ``service`` nests the wrapped
+        component's own ``summary()`` (a pool's, in ``pool=`` mode — its
+        dispatcher section then also appears under ``pool``).
         """
         report: dict[str, object] = {
             "running": self.is_running,

@@ -790,16 +790,18 @@ class AnnotationPool:
         self.stats.per_worker = snapshot
 
     def summary(self) -> dict[str, object]:
-        """Pool-level report in the unified :func:`render_stats` shape
-        (``pool`` is this component's section; docs/SERVING.md#stats-vocabulary).
+        """Pool-level report: ``pool`` is this component's section, followed
+        by :func:`~repro.serving.stats.shared_sections`
+        (docs/SERVING.md#stats-vocabulary).
         """
-        from repro.serving.stats import render_stats
+        from repro.serving.stats import shared_sections
 
         self._refresh_per_worker()
         report: dict[str, object] = {
             "running": self.is_running,
             "workers": self.pool_spec.workers,
             "spec": str(self.pool_spec),
+            "pool": self.stats.to_dict(),
         }
-        report.update(render_stats(pool=self))
+        report.update(shared_sections())
         return report

@@ -70,7 +70,7 @@ class ServiceStats:
 
     Besides the request/batch totals, the stats carry per-batch wall-clock
     and per-request queue seconds.  Kernel and transport counters live in
-    their own :func:`~repro.serving.stats.render_stats` sections.
+    their own :func:`~repro.serving.stats.shared_sections`.
     """
 
     requests_total: int = 0
@@ -434,17 +434,20 @@ class AnnotationService:
 
     # ------------------------------------------------------------------- report
     def summary(self) -> dict[str, object]:
-        """Service-level report in the unified :func:`~repro.serving.stats.
-        render_stats` shape (running state, batch size cap, stats).
+        """Service-level report: running state, batch size cap, stats.
 
-        ``service`` holds this component's own counters
-        (docs/SERVING.md#stats-vocabulary).
+        ``service`` holds this component's own counters, ``slo`` the attached
+        controller's snapshot, and :func:`~repro.serving.stats.shared_sections`
+        the process-wide ones (docs/SERVING.md#stats-vocabulary).
         """
-        from repro.serving.stats import render_stats
+        from repro.serving.stats import shared_sections
 
         report: dict[str, object] = {
             "running": self.is_running,
             "max_batch_size": self.max_batch_size,
+            "service": self.stats.to_dict(),
         }
-        report.update(render_stats(service=self))
+        if self.slo is not None:
+            report["slo"] = self.slo.snapshot()
+        report.update(shared_sections())
         return report

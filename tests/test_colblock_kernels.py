@@ -12,10 +12,10 @@ benchmark pins it end-to-end over full cascade predictions.
 
 from __future__ import annotations
 
-import math
 import pickle
 import random
 import string
+import time
 
 import pytest
 
@@ -283,9 +283,28 @@ def test_to_block_invalidated_by_add_column():
     assert len(second.columns) == 2
 
 
-def _comparable(predictions):
-    """Prediction content without wall-clock timings (bit-exact floats)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
+def test_to_block_twin_follows_a_column_replaced_through_the_list():
+    """A column swapped in through ``table.columns`` gets a twin of its own,
+    even when it reuses the address of a column that was swapped out and
+    freed.  CPython hands a freed object's memory to the next object of its
+    size, so the loop ends at the first such reuse, usually within a few
+    swaps; it reports how many swaps that took."""
+    rows = 200
+    table = Table([Column("code", [f"a{i}" for i in range(rows)])], name="swap")
+    swapped_out = set()
+    started = time.perf_counter()
+    for swaps in range(1, 5001):
+        table.to_block()
+        swapped_out.add(id(table.columns[-1]))
+        values = [f"{swaps}-{i}" for i in range(rows)]
+        table.columns.pop()
+        table.columns.append(Column("code", values))
+        assert table.to_block().columns[-1].values == values, f"stale twin at swap {swaps}"
+        if id(table.columns[-1]) in swapped_out:
+            break
+    else:
+        pytest.fail("no column address was reused in 5000 swaps; nothing was tested")
+    print(f"address reused at swap {swaps}, {time.perf_counter() - started:.4f}s")
 
 
 def test_row_bound_picks_the_columnar_path(monkeypatch, pretrained_typer):
@@ -309,9 +328,9 @@ def test_row_bound_picks_the_columnar_path(monkeypatch, pretrained_typer):
     assert all(c._kernel_view() is None for c in short.columns)
     assert all(c._kernel_view() is not None for c in long_.to_block().columns)
 
-    reference = _comparable([pretrained_typer.annotate(table.copy()) for table in corpus])
+    reference = [pretrained_typer.annotate(table.copy()) for table in corpus]
     colblock.reset_kernel_stats()
-    assert _comparable(pretrained_typer.annotate_corpus([t.copy() for t in corpus])) == reference
+    assert pretrained_typer.annotate_corpus([t.copy() for t in corpus]) == reference
     # Only the long tables' columns reached the kernels.
     data_type = colblock.kernel_stats()["by_op"]["data_type"]
     assert data_type["hits"] + data_type["fallbacks"] == sum(t.num_columns for t in corpus[2:])
@@ -365,7 +384,7 @@ def test_transport_block_roundtrip_profile_parity():
 # ------------------------------------------------------------- observability
 
 
-def test_summary_reports_kernel_stats_and_timings(pretrained_typer):
+def test_summary_reports_kernel_stats(pretrained_typer):
     colblock.reset_kernel_stats()
     table = Table(
         [Column("email", ["a@b.com", "c@d.org", "e@f.net"])], name="obs"
@@ -379,12 +398,6 @@ def test_summary_reports_kernel_stats_and_timings(pretrained_typer):
         "kernel_hits", "kernel_fallbacks", "encode_fallbacks", "by_op",
         "fallback_reasons",
     }
-
-    timings = summary["timings"]
-    assert "profile" in timings
-    for entry in timings.values():
-        assert entry["calls"] > 0
-        assert math.isfinite(entry["seconds"]) and entry["seconds"] >= 0.0
 
 
 def test_transport_block_fuzz_profile_parity():

@@ -120,13 +120,14 @@ class TestLabelModels:
     def test_majority_vote_abstention_semantics(self):
         model = MajorityVoteLabelModel()
         column = Column("income", ["50000", "60000"])
-        distribution = model.label_column(self._functions(), column)
+        distribution = model.label_distributions(self._functions(), [(column, None)])[0]
         # Both salary LFs fire at 1.0; the city LF abstains entirely.
         assert distribution["salary"] == pytest.approx(1.0)
         assert "city" not in distribution
 
     def test_majority_vote_empty_functions(self):
-        assert MajorityVoteLabelModel().label_column([], Column("x", ["1"])) == {}
+        columns = [(Column("x", ["1"]), None)]
+        assert MajorityVoteLabelModel().label_distributions([], columns) == [{}]
 
     def test_agreement_weighted_reliabilities(self):
         model = AgreementWeightedLabelModel()

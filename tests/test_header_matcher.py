@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.core.datatypes import DataType
 from repro.core.errors import ConfigurationError
 from repro.core.table import Column, Table
-from repro.core.timings import stage_timings
 from repro.matching.header_matcher import HeaderMatcher, HeaderMatcherConfig
 
 
@@ -96,26 +92,3 @@ class TestHeaderMatching:
         # Should surface a person/name-ish candidate among the top ones rather
         # than nothing at all.
         assert scores, "abbreviated header should still produce candidates"
-
-
-class TestStageAttribution:
-    def test_data_type_analysis_is_charged_to_profile(self, ontology, monkeypatch):
-        """A column's first data-type read runs its value analysis, which the
-        stage timings charge to ``profile``, not to header matching."""
-        analysis_seconds = 0.2
-
-        def slow_data_type(column):
-            time.sleep(analysis_seconds)
-            return DataType.INTEGER
-
-        monkeypatch.setattr(Column, "data_type", property(slow_data_type))
-        matcher = HeaderMatcher(ontology)
-
-        def seconds(timings, name):
-            return timings.get(name, {}).get("seconds", 0.0)
-
-        before = stage_timings()
-        matcher.predict_column(Column("salary", ["50000"]))
-        after = stage_timings()
-        assert seconds(after, "profile") - seconds(before, "profile") >= analysis_seconds
-        assert seconds(after, "match") - seconds(before, "match") < analysis_seconds

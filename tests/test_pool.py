@@ -24,8 +24,8 @@ The acceptance gates pinned here:
   request alone; it never reaches a reader, so no worker dies for it.
 * **Clean shutdown** — a pool that served requests shuts down in well under
   a second and every worker exits 0.
-* **Stats vocabulary** — every ``summary()`` shares the
-  :func:`repro.serving.stats.render_stats` sections.
+* **Stats vocabulary** — every ``summary()`` carries its own section plus
+  :func:`repro.serving.stats.shared_sections`.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from repro.serving.pool import (
     pack_frame,
     read_frame_async,
 )
-from repro.serving.stats import render_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,11 +93,6 @@ def _parse_spec(spec_string: str):
     if spec_string.startswith("pool"):
         return PoolSpec.parse(spec_string)
     return BackendSpec.parse(spec_string)
-
-
-def _comparable(predictions):
-    """Everything except wall-clock timings (bit-exact float comparison)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
 
 
 #: Spec strings the one grammar must reject, whichever entry point reads them.
@@ -220,7 +214,7 @@ class TestAnnotationPool:
     def test_parity_and_affinity_on_repeat_heavy_mix(self, pretrained_typer, tables):
         """One request at a time, every table lands on the lowest slot — the
         one warm worker of an idle pool — and results are bit-identical."""
-        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        serial = [pretrained_typer.annotate(t) for t in tables]
         rounds = 4
         slots = [0, 1, 2]
 
@@ -234,7 +228,7 @@ class TestAnnotationPool:
                 return results, pool.stats, await _settled_per_worker(pool)
 
         results, stats, per_worker = asyncio.run(drive())
-        assert _comparable(results) == serial * rounds
+        assert results == serial * rounds
         served = {slot: info["service"]["requests_total"] for slot, info in per_worker.items()}
         assert served == {0: len(tables) * rounds, 1: 0, 2: 0}
         assert stats.completed_total == len(tables) * rounds
@@ -255,7 +249,7 @@ class TestAnnotationPool:
 
     def test_burst_splits_evenly_over_the_workers(self, pretrained_typer, tables):
         """Requests sent all at once join the shortest queue in turn."""
-        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        serial = [pretrained_typer.annotate(t) for t in tables]
         burst = tables * 2
 
         async def drive():
@@ -267,13 +261,13 @@ class TestAnnotationPool:
                 return results, await _settled_per_worker(pool)
 
         results, per_worker = asyncio.run(drive())
-        assert _comparable(results) == serial * 2
+        assert results == serial * 2
         served = [per_worker[slot]["service"]["requests_total"] for slot in sorted(per_worker)]
         assert served == [len(burst) // 3] * 3
 
     def test_sigkill_worker_redispatches_in_flight_requests(self, pretrained_typer, tables):
         """The supervision drill: kill -9 a worker, lose zero requests."""
-        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        serial = [pretrained_typer.annotate(t) for t in tables]
 
         async def drive():
             async with AnnotationPool(
@@ -290,8 +284,8 @@ class TestAnnotationPool:
                 return results, follow_up, pool.stats
 
         results, follow_up, stats = asyncio.run(drive())
-        assert _comparable(results) == serial
-        assert _comparable([follow_up]) == serial[:1]
+        assert results == serial
+        assert follow_up == serial[0]
         assert stats.worker_deaths >= 1
         assert stats.restarts >= 1
         assert stats.redispatches >= 1
@@ -327,12 +321,12 @@ class TestAnnotationPool:
     ):
         """Right after an OOM kill, fork itself may fail: the slot stays
         retired and its in-flight requests go to the live worker."""
-        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        serial = [pretrained_typer.annotate(t) for t in tables]
         burst = tables * 4
         pool = AnnotationPool(pretrained_typer, PoolSpec(workers=2, heartbeat_interval=0.05))
 
         results = asyncio.run(self._kill_with_fork_refused(pool, burst, monkeypatch))
-        assert _comparable(results) == serial * 4 + serial[:1]
+        assert results == serial * 4 + serial[:1]
         # Slot 0 still holds the killed worker; the survivor exited cleanly.
         assert [worker.exitcode for worker in pool._workers] == [-signal.SIGKILL, 0]
         assert "fork refused" in pool.summary()["pool"]["per_worker"][0]["restart_error"]
@@ -348,7 +342,7 @@ class TestAnnotationPool:
         """With no live worker left, a stranded request — and every later
         one — fails with a typed error (counted in ``errors_total``) instead
         of hanging."""
-        serial = _comparable([pretrained_typer.annotate(t) for t in tables])
+        serial = [pretrained_typer.annotate(t) for t in tables]
         pool = AnnotationPool(pretrained_typer, PoolSpec(workers=1, heartbeat_interval=0.05))
 
         results = asyncio.run(self._kill_with_fork_refused(pool, tables, monkeypatch))
@@ -358,7 +352,7 @@ class TestAnnotationPool:
         assert all("no live workers" in str(error) for error in failed)
         for index, result in enumerate(results[:-1]):
             if not isinstance(result, Exception):  # served before the kill
-                assert _comparable([result]) == serial[index : index + 1]
+                assert result == serial[index]
         stats = pool.stats
         assert (stats.worker_deaths, stats.restarts) == (1, 0)
         assert stats.errors_total == len(failed)
@@ -499,7 +493,7 @@ class TestFrameBound:
         self, pretrained_typer, tables, monkeypatch
     ):
         monkeypatch.setattr(pool_module, "_MAX_POOL_MESSAGE_BYTES", self.BOUND)
-        serial = _comparable([pretrained_typer.annotate(tables[0])])
+        serial = pretrained_typer.annotate(tables[0])
         oversized = Table.from_rows(
             ["note"], [[f"row {index}"] for index in range(20_000)], name="oversized"
         )
@@ -522,7 +516,7 @@ class TestFrameBound:
         assert inflight == [0]
         assert stats.worker_deaths == stats.restarts == stats.redispatches == 0
         assert stats.errors_total == 1
-        assert _comparable([follow_up]) == serial
+        assert follow_up == serial
 
     def test_oversized_result_is_answered_with_an_error_frame(self, monkeypatch):
         monkeypatch.setattr(pool_module, "_MAX_POOL_MESSAGE_BYTES", 1 << 10)
@@ -553,7 +547,7 @@ class TestFrameBound:
 # ------------------------------------------------------------- frontend mode
 class TestFrontendPoolMode:
     def test_frontend_drives_a_pool(self, pretrained_typer, tables):
-        serial = _comparable([pretrained_typer.annotate(tables[0])])
+        serial = pretrained_typer.annotate(tables[0])
 
         async def drive():
             pool = AnnotationPool(pretrained_typer, 2)
@@ -566,7 +560,7 @@ class TestFrontendPoolMode:
             return prediction, report
 
         prediction, report = asyncio.run(drive())
-        assert _comparable([prediction]) == serial
+        assert prediction == serial
         assert report["frontend"]["admitted"] == 1
         assert report["pool"]["completed_total"] == 1
         assert report["service"]["pool"] is report["pool"]
@@ -582,7 +576,7 @@ class TestFrontendPoolMode:
 
 # ------------------------------------------------------------ stats contract
 class TestUnifiedStats:
-    def test_summaries_share_the_render_stats_sections(self, pretrained_typer, tables):
+    def test_summaries_carry_the_shared_sections(self, pretrained_typer, tables):
         async def drive():
             service = AnnotationService(pretrained_typer)
             async with service:
@@ -595,9 +589,3 @@ class TestUnifiedStats:
         assert report["service"]["requests_total"] == 1
         assert "columnar_kernels" in report
         assert "columnar_kernels" in typer_report
-        assert "timings" in typer_report
-
-    def test_render_stats_composes_caller_sections(self, pretrained_typer):
-        report = render_stats(typer=pretrained_typer)
-        assert "columnar_kernels" in report and "timings" in report
-        assert "service" not in report and "pool" not in report

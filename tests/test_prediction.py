@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.ontology import UNKNOWN_TYPE
 from repro.core.prediction import ColumnPrediction, TablePrediction, TypeScore, merge_scores
 
@@ -82,14 +84,35 @@ class TestColumnPrediction:
 
 
 class TestTablePrediction:
-    def _prediction(self) -> TablePrediction:
-        return TablePrediction(
-            table_name="t",
-            columns=[
-                ColumnPrediction(0, "a", [TypeScore(0.9, "city")]),
+    def _prediction(self, **changes) -> TablePrediction:
+        fields = {
+            "table_name": "t",
+            "columns": [
+                ColumnPrediction(0, "a", [TypeScore(0.9, "city")], source_step="header_matching"),
                 ColumnPrediction(1, "b", [TypeScore(0.2, "country")], abstained=True),
             ],
-        )
+            "step_trace": {"header_matching": 2},
+            "step_seconds": {"header_matching": 0.001},
+        }
+        fields.update(changes)
+        return TablePrediction(**fields)
+
+    def test_equality_ignores_only_wall_clock(self):
+        reference = self._prediction()
+        assert reference == self._prediction(step_seconds={"header_matching": 0.5, "x": 1.0})
+        first = reference.columns[0]
+        for other in (
+            self._prediction(step_trace={"header_matching": 2, "value_lookup": 1}),
+            self._prediction(
+                columns=[dataclasses.replace(first, scores=[TypeScore(0.8, "city")])]
+                + reference.columns[1:]
+            ),
+            self._prediction(
+                columns=[dataclasses.replace(first, source_step="value_lookup")]
+                + reference.columns[1:]
+            ),
+        ):
+            assert reference != other
 
     def test_len_and_iteration(self):
         prediction = self._prediction()

@@ -28,11 +28,6 @@ from repro.serving import (
 )
 
 
-def _comparable(predictions):
-    """Everything except wall-clock timings (bit-exact float comparison)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
-
-
 def _fresh(tables):
     """Copies with cold per-column caches, as a new request would carry."""
     return [table.copy() for table in tables]
@@ -118,12 +113,12 @@ class TestBackendParity:
         multiprocess = pretrained_typer.annotate_corpus(
             _fresh(mixed_tables), backend="multiprocess:4"
         )
-        assert _comparable(serial) == _comparable(multiprocess)
+        assert serial == multiprocess
 
     def test_adapted_customer_bulk_matches_per_table(self, adapted_typer, mixed_tables):
         per_table = [adapted_typer.annotate(t, customer_id="acme") for t in mixed_tables]
         bulk = adapted_typer.annotate_corpus(mixed_tables, customer_id="acme")
-        assert _comparable(per_table) == _comparable(bulk)
+        assert per_table == bulk
         # The adapted path reports the blended source step.
         assert all(
             column.source_step == "global+local"
@@ -136,7 +131,7 @@ class TestBackendParity:
         multiprocess = adapted_typer.annotate_corpus(
             _fresh(mixed_tables), customer_id="acme", backend="multiprocess:2"
         )
-        assert _comparable(serial) == _comparable(multiprocess)
+        assert serial == multiprocess
 
     def test_vectorized_blend_matches_combine_with_global(self, adapted_typer, mixed_tables):
         """The numpy blend in SigmaTyper._blend_with_local must reproduce the
@@ -172,7 +167,7 @@ class TestBackendParity:
         customer_predictions = pretrained_typer.annotate_corpus(
             mixed_tables, customer_id="fresh-tenant"
         )
-        assert _comparable(global_predictions) == _comparable(customer_predictions)
+        assert global_predictions == customer_predictions
 
     def test_sharded_featurization_is_bit_identical(self, trained_classifier, eval_corpus):
         featurizer = trained_classifier.featurizer
@@ -211,7 +206,7 @@ class TestColumnMemo:
             thread.join(timeout=120)
             assert not thread.is_alive()
         for predictions in results:
-            assert _comparable(baseline) == _comparable(predictions)
+            assert baseline == predictions
 
 
 
@@ -232,8 +227,8 @@ class TestAnnotationService:
                 return global_results, acme_results, service.stats
 
         global_results, acme_results, stats = asyncio.run(drive())
-        assert _comparable(global_results) == _comparable(expected_global)
-        assert _comparable(acme_results) == _comparable(expected_acme)
+        assert global_results == expected_global
+        assert acme_results == expected_acme
         assert stats.requests_total == 2 * len(mixed_tables)
         # Work-conserving: every gathered request queued before the worker
         # woke, so each drain took a full batch of 16 until the queue ran dry.
@@ -259,9 +254,9 @@ class TestAnnotationService:
                 )
 
         acme, blank, global_ = asyncio.run(drive())
-        assert _comparable([blank]) == _comparable([expected_global])
-        assert _comparable([global_]) == _comparable([expected_global])
-        assert _comparable([acme]) == _comparable([expected_acme])
+        assert blank == expected_global
+        assert global_ == expected_global
+        assert acme == expected_acme
         # The adapted customer's blend actually diverges from the global path.
         assert any(
             a.scores != g.scores for a, g in zip(acme.columns, global_.columns)

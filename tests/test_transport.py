@@ -65,11 +65,6 @@ def _no_segment_leaks():
     assert _our_segments() == before, "test leaked shared-memory segments"
 
 
-def _comparable(predictions):
-    """Everything except wall-clock timings (bit-exact float comparison)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
-
-
 def _fresh(tables):
     return [table.copy() for table in tables]
 
@@ -409,8 +404,8 @@ class TestTransportParity:
             _fresh(tables), backend="multiprocess:2+pickle"
         )
         via_shm = pretrained_typer.annotate_corpus(_fresh(tables), backend="multiprocess:2+shm")
-        assert _comparable(serial) == _comparable(via_pickle)
-        assert _comparable(serial) == _comparable(via_shm)
+        assert serial == via_pickle
+        assert serial == via_shm
         assert _our_segments() == []
 
     def test_shm_parity_across_worker_counts(self, pretrained_typer, eval_corpus):
@@ -418,7 +413,7 @@ class TestTransportParity:
         serial = pretrained_typer.annotate_corpus(_fresh(tables))
         for spec in ("multiprocess:3+shm", "multiprocess:4+shm"):
             sharded = pretrained_typer.annotate_corpus(_fresh(tables), backend=spec)
-            assert _comparable(sharded) == _comparable(serial), spec
+            assert sharded == serial, spec
 
     def test_shm_ships_fewer_bytes_than_pickle(self, pretrained_typer, eval_corpus):
         tables = [table.copy() for table in eval_corpus]
