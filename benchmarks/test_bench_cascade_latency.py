@@ -7,16 +7,14 @@ latency and accuracy of the confidence-gated cascade against running every
 step on every column, and sweeps the confidence threshold c.
 
 Every leg starts cold from the same state: its own unpickled copy of the
-session typer, fresh copies of the corpus and empty process-wide memo
-tables, so no leg reads the header scores or column profiles an earlier leg
-computed.  The copy carries the session typer's header-score caches, so in
-a full benchmark run every leg starts with whatever headers earlier
-experiments matched.
+session typer as pretraining left it (pickled before any experiment ran),
+fresh copies of the corpus and empty process-wide memo tables.  So no leg
+reads the header scores or column profiles that an earlier leg, or an
+earlier experiment of the same run, computed.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 from pathlib import Path
 
@@ -54,7 +52,9 @@ def _cold_typer(snapshot):
     return pickle.loads(snapshot)
 
 
-def test_cascade_vs_exhaustive(benchmark, sigmatyper, test_corpus, record_result):
+def test_cascade_vs_exhaustive(
+    benchmark, sigmatyper, sigmatyper_snapshot, test_corpus, record_result, record_json
+):
     legs = [
         ("exhaustive (all steps, all columns)", 0.85, True),
         ("cascade, c = 0.70", 0.70, False),
@@ -62,10 +62,9 @@ def test_cascade_vs_exhaustive(benchmark, sigmatyper, test_corpus, record_result
         ("cascade, c = 0.95", 0.95, False),
     ]
 
-    snapshot = pickle.dumps(sigmatyper)
     rows = []
     for name, threshold, always_run_all in legs:
-        pipeline = _pipeline_variant(_cold_typer(snapshot), threshold, always_run_all)
+        pipeline = _pipeline_variant(_cold_typer(sigmatyper_snapshot), threshold, always_run_all)
         tables = [table.copy() for table in test_corpus]
         result = evaluate_annotator(pipeline, tables, name=name)
         learned_step_columns = result.step_trace.get("table_embedding", 0)
@@ -90,19 +89,15 @@ def test_cascade_vs_exhaustive(benchmark, sigmatyper, test_corpus, record_result
             title="E10 — confidence-gated cascade vs exhaustive execution (caches cold per leg)",
         ),
     )
-    BENCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "E10_cascade_latency",
-                "caches": "cold per leg",
-                "time_bar": TIME_BAR,
-                "accuracy_margin": ACCURACY_MARGIN,
-                "configurations": rows,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    record_json(
+        BENCH_JSON_PATH,
+        {
+            "experiment": "E10_cascade_latency",
+            "caches": "cold per leg",
+            "time_bar": TIME_BAR,
+            "accuracy_margin": ACCURACY_MARGIN,
+            "configurations": rows,
+        },
     )
 
     exhaustive, *cascades = rows

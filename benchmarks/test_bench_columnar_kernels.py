@@ -35,7 +35,6 @@ from where this table crosses, and a later run re-checks it.
 from __future__ import annotations
 
 import gc
-import json
 import statistics
 import time
 from pathlib import Path
@@ -159,7 +158,7 @@ def _crossover(sigmatyper, monkeypatch) -> list[dict]:
     return rows
 
 
-def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, monkeypatch):
+def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, record_json, monkeypatch):
     featurizer = sigmatyper.global_model.classifier.featurizer
     payload = kernel_payload
 
@@ -244,25 +243,21 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, 
             ),
         ),
     )
-    BENCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "E15_columnar_kernels",
-                "num_tables": KERNEL_TABLES,
-                "num_columns": num_columns,
-                "min_rows": MIN_ROWS,
-                "max_rows": MAX_ROWS,
-                "configurations": rows,
-                "speedup": round(speedup, 2),
-                "speedup_bar": SPEEDUP_BAR,
-                "kernel_stats": stats,
-                "crossover": crossover,
-                "min_kernel_rows": colblock.MIN_KERNEL_ROWS,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    record_json(
+        BENCH_JSON_PATH,
+        {
+            "experiment": "E15_columnar_kernels",
+            "num_tables": KERNEL_TABLES,
+            "num_columns": num_columns,
+            "min_rows": MIN_ROWS,
+            "max_rows": MAX_ROWS,
+            "configurations": rows,
+            "speedup": round(speedup, 2),
+            "speedup_bar": SPEEDUP_BAR,
+            "kernel_stats": stats,
+            "crossover": crossover,
+            "min_kernel_rows": colblock.MIN_KERNEL_ROWS,
+        },
     )
 
     # Representative operation for pytest-benchmark: the vectorized profile

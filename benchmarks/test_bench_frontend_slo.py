@@ -137,7 +137,7 @@ async def _offer_load(host, port, bodies: list[bytes], offered_rate: float, dura
     return results
 
 
-def test_frontend_slo_overload(benchmark, sigmatyper, load_corpus, record_result):
+def test_frontend_slo_overload(benchmark, sigmatyper, load_corpus, record_result, record_json):
     tables = list(load_corpus)
 
     # ------------------------------------------------- capacity probe (serial)
@@ -395,25 +395,21 @@ def test_frontend_slo_overload(benchmark, sigmatyper, load_corpus, record_result
             ),
         ),
     )
-    BENCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "E14_frontend_slo",
-                "usable_cpus": usable_cpus,
-                "latency_gate_armed": usable_cpus >= 4,
-                "serial_capacity_per_second": round(capacity_per_second, 1),
-                "serial_seconds_per_table": round(seconds_per_table, 5),
-                "http_capacity_per_second": round(http_capacity, 1),
-                "tenant_rate_per_second": round(tenant_rate, 1),
-                "max_pending_total": max_pending,
-                "baseline_confidence_threshold": baseline_c,
-                "phases": phases,
-                "frontend_stats": frontend.stats.to_dict(),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    record_json(
+        BENCH_JSON_PATH,
+        {
+            "experiment": "E14_frontend_slo",
+            "usable_cpus": usable_cpus,
+            "latency_gate_armed": usable_cpus >= 4,
+            "serial_capacity_per_second": round(capacity_per_second, 1),
+            "serial_seconds_per_table": round(seconds_per_table, 5),
+            "http_capacity_per_second": round(http_capacity, 1),
+            "tenant_rate_per_second": round(tenant_rate, 1),
+            "max_pending_total": max_pending,
+            "baseline_confidence_threshold": baseline_c,
+            "phases": phases,
+            "frontend_stats": frontend.stats.to_dict(),
+        },
     )
 
 

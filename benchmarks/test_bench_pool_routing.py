@@ -25,7 +25,6 @@ noise (canonical caveat in docs/SERVING.md).
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import pickle
 import signal
@@ -108,7 +107,7 @@ def _service_leg(typer, mix, all_in_flight: bool):
     return asyncio.run(run())
 
 
-def test_pool_routing(benchmark, sigmatyper, record_result):
+def test_pool_routing(benchmark, sigmatyper, record_result, record_json):
     tables = GitTablesGenerator(
         GitTablesConfig(num_tables=POOL_TABLES, seed=424242)
     ).generate_corpus().tables
@@ -231,33 +230,29 @@ def test_pool_routing(benchmark, sigmatyper, record_result):
             ),
         ),
     )
-    BENCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "E17_pool_routing",
-                "usable_cpus": usable_cpus,
-                "num_tables": len(tables),
-                "rounds": ROUNDS,
-                "num_columns": repeat_columns // ROUNDS,
-                "distinct_tables": len(distinct),
-                "distinct_columns": distinct_columns,
-                "workers": POOL_WORKERS,
-                "configurations": rows,
-                "requests_per_worker": legs,
-                "balance_tolerance": BALANCE_TOLERANCE,
-                "parity": "bit-identical to serial on every run",
-                "kill_drill": {
-                    "worker_deaths": drill_stats.worker_deaths,
-                    "restarts": drill_stats.restarts,
-                    "redispatches": drill_stats.redispatches,
-                    "lost_requests": lost_requests,
-                    "errors_total": drill_stats.errors_total,
-                },
+    record_json(
+        BENCH_JSON_PATH,
+        {
+            "experiment": "E17_pool_routing",
+            "usable_cpus": usable_cpus,
+            "num_tables": len(tables),
+            "rounds": ROUNDS,
+            "num_columns": repeat_columns // ROUNDS,
+            "distinct_tables": len(distinct),
+            "distinct_columns": distinct_columns,
+            "workers": POOL_WORKERS,
+            "configurations": rows,
+            "requests_per_worker": legs,
+            "balance_tolerance": BALANCE_TOLERANCE,
+            "parity": "bit-identical to serial on every run",
+            "kill_drill": {
+                "worker_deaths": drill_stats.worker_deaths,
+                "restarts": drill_stats.restarts,
+                "redispatches": drill_stats.redispatches,
+                "lost_requests": lost_requests,
+                "errors_total": drill_stats.errors_total,
             },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+        },
     )
 
     # Representative operation for pytest-benchmark: the per-request work the

@@ -26,7 +26,6 @@ not measure the speedup.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from pathlib import Path
@@ -62,7 +61,7 @@ def _fresh(tables):
     return [table.copy() for table in tables]
 
 
-def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result):
+def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result, record_json):
     tables = list(serving_corpus)
     num_columns = sum(table.num_columns for table in tables)
 
@@ -121,20 +120,16 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
             ),
         ),
     )
-    BENCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "E11_serving_throughput",
-                "usable_cpus": usable_cpus,
-                "num_tables": len(tables),
-                "num_columns": num_columns,
-                "rounds": ROUNDS,
-                "configurations": rows,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    record_json(
+        BENCH_JSON_PATH,
+        {
+            "experiment": "E11_serving_throughput",
+            "usable_cpus": usable_cpus,
+            "num_tables": len(tables),
+            "num_columns": num_columns,
+            "rounds": ROUNDS,
+            "configurations": rows,
+        },
     )
 
     # A representative serving operation for pytest-benchmark's timing stats:

@@ -28,7 +28,6 @@ bytes accounting are the assertions there — canonical caveat in
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -84,7 +83,7 @@ def _fresh(tables):
     return [table.copy() for table in tables]
 
 
-def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result):
+def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result, record_json):
     reset_transport_stats()
     tables = list(transport_corpus)
     num_columns = sum(table.num_columns for table in tables)
@@ -182,24 +181,20 @@ def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result)
             ),
         ),
     )
-    BENCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "E13_shard_transport",
-                "usable_cpus": usable_cpus,
-                "num_tables": len(tables),
-                "num_columns": num_columns,
-                "workers": WORKERS,
-                "configurations": rows,
-                "bytes_per_shard_ratio": round(bytes_ratio, 2),
-                "bytes_ratio_bar": BYTES_RATIO_BAR,
-                "leaked_segments": leaked,
-                "transport_stats": transport_stats(),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    record_json(
+        BENCH_JSON_PATH,
+        {
+            "experiment": "E13_shard_transport",
+            "usable_cpus": usable_cpus,
+            "num_tables": len(tables),
+            "num_columns": num_columns,
+            "workers": WORKERS,
+            "configurations": rows,
+            "bytes_per_shard_ratio": round(bytes_ratio, 2),
+            "bytes_ratio_bar": BYTES_RATIO_BAR,
+            "leaked_segments": leaked,
+            "transport_stats": transport_stats(),
+        },
     )
 
     # Representative operation for pytest-benchmark: flattening one shard of

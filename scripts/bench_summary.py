@@ -9,6 +9,12 @@ trajectory of the system is readable in one place instead of six artifacts:
     python scripts/bench_summary.py            # rewrite docs/BENCHMARKS.md
     python scripts/bench_summary.py --check    # fail if the doc is stale
 
+Benchmarks rewrite their artifacts only when ``REPRO_RECORD_ARTIFACTS=1``, so
+re-recording everything is one command:
+
+    REPRO_RECORD_ARTIFACTS=1 PYTHONPATH=src python -m pytest -q benchmarks/ \
+        && python scripts/bench_summary.py
+
 The table renders only what two runs of one commit reproduce exactly, so
 re-recording the artifacts leaves the doc current; ``--check`` fails on any
 difference, which lets CI catch a benchmark whose pinned results changed

@@ -26,6 +26,7 @@ from repro.lookup.labeling_functions import (
     ValueRangeLF,
     ValueSetLF,
 )
+from repro.matching.fuzzy import normalize_header
 from repro.profiler.expectations import build_expectation_suite
 from repro.profiler.statistics import profile_column
 
@@ -151,8 +152,8 @@ def infer_labeling_functions(
             )
         )
 
-    # LF4: the header itself.
-    if config.include_header_rule and column.name.strip():
+    # LF4: the header itself, unless it has nothing to match (``#``, ``__``).
+    if config.include_header_rule and normalize_header(column.name):
         functions.append(
             HeaderMatchLF(
                 target_type,

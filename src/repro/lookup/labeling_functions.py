@@ -20,9 +20,16 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.errors import LabelingFunctionError
 from repro.core.table import Column, Table
-from repro.matching.fuzzy import combined_similarity, normalize_header
+from repro.matching.fuzzy import (
+    HeaderScreen,
+    combined_similarity,
+    jaro_winkler_similarity,
+    normalize_header,
+)
 from repro.profiler.expectations import ExpectationSuite
 
 __all__ = [
@@ -148,6 +155,34 @@ class MeanRangeLF(LabelingFunction):
         return {**self._base_dict(), "low": self.low, "high": self.high}
 
 
+def _similarities(headers: Sequence[str], candidates: Sequence[str], threshold: float) -> np.ndarray:
+    """``combined_similarity`` of each (header, candidate) pair, exact where it reaches *threshold*.
+
+    Both sides are normalised and the headers distinct.  The non-empty
+    headers are bounded against the non-empty candidates in one
+    :class:`~repro.matching.fuzzy.HeaderScreen` pass, and only the survivors
+    are scored, as in the header matcher: with ``combined_similarity`` when
+    the Levenshtein or token bound reaches *threshold*, else with Jaro–Winkler
+    alone, which then equals it wherever either reaches *threshold*.  Every
+    other pair reads 0.0: the screen proved it below *threshold*, or it has
+    an empty side and its similarity is 0.0.  So ``scores >= threshold``
+    holds exactly where the similarity reaches *threshold*, and there the
+    two are equal.
+    """
+    scores = np.zeros((len(headers), len(candidates)))
+    rows = [index for index, header in enumerate(headers) if header]
+    columns = [index for index, candidate in enumerate(candidates) if candidate]
+    screen = HeaderScreen([candidates[index] for index in columns])
+    survivors = screen.survivors([headers[index] for index in rows], threshold)
+    for row, column, full in zip(*(part.tolist() for part in survivors), strict=True):
+        row, column = rows[row], columns[column]
+        if full:
+            scores[row, column] = combined_similarity(headers[row], candidates[column])
+        else:
+            scores[row, column] = jaro_winkler_similarity(headers[row], candidates[column])
+    return scores
+
+
 class HeaderMatchLF(LabelingFunction):
     """LF4 in Fig. 3: fires when the column header matches a remembered header."""
 
@@ -162,18 +197,22 @@ class HeaderMatchLF(LabelingFunction):
         self.threshold = float(threshold)
 
     def apply(self, column: Column, context: LFContext | None = None) -> float:
-        return self._score(normalize_header(column.name))
+        return self._scores([normalize_header(column.name)])[0]
 
     def apply_many(self, columns: Sequence[tuple[Column, Table | None]]) -> list[float]:
-        headers = [normalize_header(column.name) for column, _ in columns]
-        scores = {header: self._score(header) for header in dict.fromkeys(headers)}
-        return [scores[header] for header in headers]
+        normalized = {column.name: normalize_header(column.name) for column, _ in columns}
+        headers = list(dict.fromkeys(normalized.values()))
+        scores = dict(zip(headers, self._scores(headers), strict=True))
+        return [scores[normalized[column.name]] for column, _ in columns]
 
-    def _score(self, header: str) -> float:
-        if not header:
-            return 0.0
-        best = max(combined_similarity(header, candidate) for candidate in self.headers)
-        return best if best >= self.threshold else 0.0
+    def _scores(self, headers: Sequence[str]) -> list[float]:
+        """Per distinct normalised header: its best similarity to a remembered
+        header when that reaches the threshold, else 0.0 (always 0.0 for "")."""
+        best = _similarities(headers, self.headers, self.threshold).max(axis=1).tolist()
+        return [
+            score if header and score >= self.threshold else 0.0
+            for header, score in zip(headers, best, strict=True)
+        ]
 
     def to_dict(self) -> dict[str, object]:
         return {**self._base_dict(), "headers": list(self.headers), "threshold": self.threshold}
@@ -200,46 +239,37 @@ class CoOccurrenceLF(LabelingFunction):
         if context is None or context.table is None:
             return 0.0
         neighbor_types = {t for t in context.neighbor_types if t}
-        scores: dict[tuple[str, str], float] = {}
-        matches = [
-            self._matching(context.table, required, scores)
-            for required in self.required_types
-            if required not in neighbor_types
-        ]
+        required = [r for r in self.required_types if r not in neighbor_types]
+        matches = self._matching([context.table], required)[0]
         return self._vote(column, context.column_index, context.table, matches)
 
     def apply_many(self, columns: Sequence[tuple[Column, Table | None]]) -> list[float]:
-        scores: dict[tuple[str, str], float] = {}
         # Keyed by id(): every table stays referenced by *columns* for the
         # whole call, so no two live tables share a key.
-        matches: dict[int, list[list[int]]] = {}
-        votes = []
-        for column, table in columns:
-            if table is None:
-                votes.append(0.0)
-                continue
-            if id(table) not in matches:
-                matches[id(table)] = [
-                    self._matching(table, required, scores) for required in self.required_types
-                ]
-            votes.append(self._vote(column, None, table, matches[id(table)]))
-        return votes
+        tables = {id(table): table for _, table in columns if table is not None}
+        matches = dict(zip(tables, self._matching(list(tables.values()), self.required_types), strict=True))
+        return [
+            0.0 if table is None else self._vote(column, None, table, matches[id(table)])
+            for column, table in columns
+        ]
 
-    def _matching(self, table: Table, required_type: str, scores: dict[tuple[str, str], float]) -> list[int]:
-        """Indices of *table*'s columns whose header matches *required_type*.
-
-        *scores* memoizes ``combined_similarity`` per (header, type text)
-        pair for as long as the caller keeps it.
-        """
-        text = required_type.replace("_", " ")
-        matching = []
-        for index, other in enumerate(table.columns):
-            key = (other.name, text)
-            if key not in scores:
-                scores[key] = combined_similarity(other.name, text)
-            if scores[key] >= self.header_threshold:
-                matching.append(index)
-        return matching
+    def _matching(self, tables: Sequence[Table], required_types: Sequence[str]) -> list[list[list[int]]]:
+        """Per table, per required type: the indices of the columns whose
+        header matches that type's name (``_`` read as a space)."""
+        normalized = {
+            column.name: normalize_header(column.name) for table in tables for column in table.columns
+        }
+        headers = list(dict.fromkeys(normalized.values()))
+        texts = [normalize_header(required.replace("_", " ")) for required in required_types]
+        similarities = _similarities(headers, texts, self.header_threshold)
+        matched = dict(zip(headers, (similarities >= self.header_threshold).tolist(), strict=True))
+        result = []
+        for table in tables:
+            rows = [matched[normalized[column.name]] for column in table.columns]
+            result.append(
+                [[index for index, row in enumerate(rows) if row[position]] for position in range(len(texts))]
+            )
+        return result
 
     @staticmethod
     def _vote(column: Column, column_index: int | None, table: Table, matches: list[list[int]]) -> float:

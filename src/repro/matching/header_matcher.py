@@ -5,13 +5,14 @@ compared against the labels and synonyms of the semantic type ontology.
 
 * **Syntactic matching** uses the fuzzy string similarities from
   :mod:`repro.matching.fuzzy`; per the paper, an (essentially) exact match
-  sets the confidence to the maximum of 100%.  A vectorized screen first
-  bounds the Levenshtein ratio, Jaro–Winkler and token-set ratio of the
-  header against every alias from character and token overlaps.  Only the
-  aliases whose bound reaches the threshold are scored in Python: with
-  ``combined_similarity`` when the Levenshtein or token bound does, and with
-  Jaro–Winkler alone when only its bound does, since their maximum then is
-  Jaro–Winkler.  The screen changes how many pairs are scored, never a score.
+  sets the confidence to the maximum of 100%.  The shared
+  :class:`~repro.matching.fuzzy.HeaderScreen` first bounds the Levenshtein
+  ratio, Jaro–Winkler and token-set ratio of the header against every alias
+  from character and token overlaps.  Only the aliases whose bound reaches
+  the threshold are scored in Python: with ``combined_similarity`` when the
+  Levenshtein or token bound does, and with Jaro–Winkler alone when only its
+  bound does, since their maximum then is Jaro–Winkler.  The screen changes
+  how many pairs are scored, never a score.
 * **Semantic matching** embeds the column name and the ontology labels with
   the :class:`~repro.matching.embeddings.SubwordEmbedder` (the FastText
   substitute) and uses cosine similarity as the confidence.
@@ -37,38 +38,13 @@ from repro.core.prediction import TypeScore
 from repro.core.table import Column, Table
 from repro.matching.embeddings import SubwordEmbedder
 from repro.matching.fuzzy import (
-    TOKEN_MATCH_CUTOFF,
-    WINKLER_PREFIX_LENGTH,
-    WINKLER_PREFIX_SCALE,
+    HeaderScreen,
     combined_similarity,
     jaro_winkler_similarity,
     normalize_header,
-    tokenize_header,
 )
 
 __all__ = ["HeaderMatcherConfig", "HeaderMatcher"]
-
-#: Normalised headers only contain lower-case letters, digits, and spaces.
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
-_CHAR_INDEX = {char: index for index, char in enumerate(_ALPHABET)}
-
-
-def _char_counts(text: str) -> np.ndarray:
-    """Character histogram of a normalised string over the header alphabet."""
-    counts = np.zeros(len(_ALPHABET), dtype=np.float64)
-    for char in text:
-        index = _CHAR_INDEX.get(char)
-        if index is not None:
-            counts[index] += 1.0
-    return counts
-
-
-def _histogram_matrix(histograms: list[np.ndarray]) -> np.ndarray:
-    """Stack character histograms into rows (zero rows when there are none)."""
-    if not histograms:
-        return np.zeros((0, len(_ALPHABET)), dtype=np.float64)
-    return np.vstack(histograms)
-
 
 @dataclass
 class HeaderMatcherConfig:
@@ -125,7 +101,14 @@ class HeaderMatcher(PipelineStep):
         for semantic_type in self._candidate_types:
             for alias in semantic_type.all_names():
                 self._alias_index.setdefault(alias, []).append(semantic_type.name)
-        self._build_alias_screen()
+        # Normalised once.  An alias that normalises to "" is left out:
+        # combined_similarity is 0.0 against everything for it.
+        self._alias_entries = [
+            (normalize_header(alias), type_names)
+            for alias, type_names in self._alias_index.items()
+            if normalize_header(alias)
+        ]
+        self._alias_screen = HeaderScreen([alias for alias, _ in self._alias_entries])
         self._type_embeddings: dict[str, object] = {}
         #: Matrix form of the type embeddings: row i is the L2-normalised
         #: embedding of ``self._type_names[i]``.  One matrix-vector product
@@ -176,139 +159,19 @@ class HeaderMatcher(PipelineStep):
             leaves.append(semantic_type)
         return leaves
 
-    def _build_alias_screen(self) -> None:
-        """Precompute per-alias data for the vectorized candidate screen.
-
-        For every alias: its normalised form, length, character histogram and
-        Winkler prefix; and its token set as an alias × token incidence over
-        the distinct alias tokens (one histogram row each): flat token ids,
-        each alias's start offset into them, and its token count.  An alias
-        without informative tokens points at the empty token, whose bound
-        against any header token is 0.  :meth:`_screen` turns these into three
-        exact upper bounds per alias with a few numpy passes per header.
-        """
-        token_index: dict[str, int] = {}
-        token_ids: list[int] = []
-        token_starts: list[int] = []
-        token_counts: list[int] = []
-        entries: list[tuple[str, list[str]]] = []
-        lengths: list[int] = []
-        histograms: list[np.ndarray] = []
-        prefixes: list[list[int]] = []
-        for alias, type_names in self._alias_index.items():
-            normalized = normalize_header(alias)
-            if not normalized:
-                continue  # combined_similarity is 0.0 against everything
-            tokens = sorted(set(tokenize_header(normalized)))
-            token_starts.append(len(token_ids))
-            token_counts.append(len(tokens))
-            for token in tokens or [""]:
-                token_ids.append(token_index.setdefault(token, len(token_index)))
-            entries.append((normalized, type_names))
-            lengths.append(len(normalized))
-            histograms.append(_char_counts(normalized))
-            codes = [ord(char) for char in normalized[:WINKLER_PREFIX_LENGTH]]
-            prefixes.append(codes + [-1] * (WINKLER_PREFIX_LENGTH - len(codes)))
-        self._alias_entries = entries
-        self._alias_lengths = np.array(lengths, dtype=np.float64)
-        self._alias_histograms = _histogram_matrix(histograms)
-        self._alias_prefixes = np.array(prefixes, dtype=np.int32).reshape(
-            len(entries), WINKLER_PREFIX_LENGTH
-        )
-        self._token_histograms = _histogram_matrix([_char_counts(token) for token in token_index])
-        self._token_lengths = np.array([len(token) for token in token_index], dtype=np.float64)
-        self._alias_token_ids = np.array(token_ids, dtype=np.intp)
-        self._alias_token_starts = np.array(token_starts, dtype=np.intp)
-        self._alias_token_counts = np.array(token_counts, dtype=np.float64)
-
-    def _char_screen(self, header: str) -> tuple[np.ndarray, np.ndarray]:
-        """Per-alias upper bounds on the Levenshtein ratio and Jaro–Winkler.
-
-        Both come from the characters the header shares with each alias
-        (``common_chars``, the overlap of their histograms):
-
-        * Levenshtein: ``distance >= max_len - common_chars``, so the ratio is
-          at most ``common_chars / max_len``.
-        * Jaro: matches ``m <= common_chars`` and ``(m - t)/m <= 1``; the
-          Winkler boost uses the *actual* shared prefix length (cheap to
-          compute exactly, and usually 0), and is monotone in Jaro.
-        """
-        header_length = len(header)
-        overlaps = np.minimum(self._alias_histograms, _char_counts(header)).sum(axis=1)
-        lev_bound = overlaps / np.maximum(self._alias_lengths, header_length)
-        jaro_bound = np.minimum(
-            (overlaps / header_length + overlaps / self._alias_lengths + 1.0) / 3.0, 1.0
-        )
-        header_prefix = np.full(WINKLER_PREFIX_LENGTH, -2, dtype=np.int32)
-        for position, char in enumerate(header[:WINKLER_PREFIX_LENGTH]):
-            header_prefix[position] = ord(char)
-        matches = self._alias_prefixes == header_prefix
-        prefix_lengths = np.argmin(
-            np.concatenate([matches, np.zeros((len(matches), 1), dtype=bool)], axis=1), axis=1
-        ).astype(np.float64)
-        jw_bound = np.where(
-            overlaps > 0,
-            jaro_bound + WINKLER_PREFIX_SCALE * prefix_lengths * (1.0 - jaro_bound),
-            0.0,
-        )
-        return lev_bound, jw_bound
-
-    def _token_bound(self, header: str) -> np.ndarray:
-        """Per-alias upper bound on ``token_set_ratio(header, alias)``.
-
-        Mirrors the measure: each header token contributes its best
-        Levenshtein-ratio bound against the alias's tokens when that bound
-        reaches the cut-off (a shared token's is exactly 1), over
-        ``max(len(header_tokens), len(alias_tokens))``.  Bounding over *all*
-        of the alias's tokens, not just the unshared ones, only loosens it.
-        One pass scores every header token against every distinct alias
-        token; the incidence then takes each alias's segment maximum.
-        """
-        tokens = list(dict.fromkeys(tokenize_header(header)))
-        if not tokens:
-            return (self._alias_token_counts == 0).astype(np.float64)
-        histograms = np.vstack([_char_counts(token) for token in tokens])
-        lengths = np.array([len(token) for token in tokens], dtype=np.float64)
-        overlaps = np.minimum(histograms[:, None, :], self._token_histograms).sum(axis=2)
-        ratios = overlaps / np.maximum(lengths[:, None], self._token_lengths)
-        # The cut-off is monotone, so gating before the segment max is exact.
-        ratios[ratios < TOKEN_MATCH_CUTOFF] = 0.0
-        best = np.maximum.reduceat(
-            ratios[:, self._alias_token_ids], self._alias_token_starts, axis=1
-        )
-        return best.sum(axis=0) / np.maximum(self._alias_token_counts, len(tokens))
-
-    def _screen(self, header: str) -> tuple[np.ndarray, np.ndarray]:
-        """Aliases that may reach the threshold, and which need every measure.
-
-        Returns the ascending indices of the aliases whose Levenshtein,
-        Jaro–Winkler or token bound reaches ``syntactic_threshold``, and for
-        each whether its Levenshtein or token bound does.  When neither does,
-        those two measures are provably below the threshold, so
-        ``combined_similarity`` (their maximum with Jaro–Winkler) clears it
-        exactly when Jaro–Winkler alone does, and then equals it.
-        """
-        threshold = self.config.syntactic_threshold
-        lev_bound, jw_bound = self._char_screen(header)
-        full = (lev_bound >= threshold) | (self._token_bound(header) >= threshold)
-        survivors = np.flatnonzero(full | (jw_bound >= threshold))
-        return survivors, full[survivors]
-
     def _syntactic_scores(self, header: str) -> dict[str, float]:
         """Best syntactic confidence per type for one normalised header.
 
         Identical to scoring ``combined_similarity(header, alias)`` against
-        every alias: :meth:`_screen` only skips pairs whose provable upper
+        every alias: the screen only skips pairs whose provable upper
         bounds are all below the reporting threshold, a survivor that passes
         only the Jaro–Winkler bound is scored with
         ``jaro_winkler_similarity(header, alias)`` (what the maximum would
         be), and every other survivor with ``combined_similarity`` itself.
         An exact alias has a Levenshtein bound of 1, so it takes that path.
         """
-        if not self._alias_entries:
-            return {}
         threshold = self.config.syntactic_threshold
-        survivors, needs_full = self._screen(header)
+        _, survivors, needs_full = self._alias_screen.survivors([header], threshold)
         best: dict[str, float] = {}
         for index, full in zip(survivors.tolist(), needs_full.tolist(), strict=True):
             alias, type_names = self._alias_entries[index]

@@ -4,8 +4,10 @@ The cascade's batch path (``extract_many``, ``predict_proba_batch``, batched
 header matching) must be a pure optimisation: per-column features are bitwise
 identical to the one-at-a-time path, ranked predictions are identical, and
 probabilities agree to floating-point noise (a batched matrix product may
-differ from a per-row product in the last ulp).  The memoized profile/value
-layer on :class:`~repro.core.table.Column` must honour explicit invalidation.
+differ from a per-row product in the last ulp).  The shared header screen
+(:class:`~repro.matching.fuzzy.HeaderScreen`) never changes a header score or
+a labeling-function vote.  The memoized profile/value layer on
+:class:`~repro.core.table.Column` must honour explicit invalidation.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from repro.core.ontology import SemanticType, TypeOntology
 from repro.core.table import Column, Table
 from repro.embedding_model.features import ColumnFeaturizer
 from repro.embedding_model.step import TableEmbeddingStep
+from repro.lookup import labeling_functions
+from repro.lookup.labeling_functions import CoOccurrenceLF, HeaderMatchLF, LFContext
 from repro.matching.embeddings import SubwordEmbedder
 from repro.matching.fuzzy import (
+    HeaderScreen,
     combined_similarity,
     levenshtein_ratio,
     normalize_header,
@@ -32,6 +37,12 @@ from repro.profiler.statistics import profile_column
 
 #: Characters a normalised header can contain.
 _HEADER_CHARS = string.ascii_lowercase + string.digits + " "
+#: Thresholds of the screen's three users: the matcher's reporting threshold,
+#: CoOccurrenceLF's and HeaderMatchLF's defaults, and one above them all.
+_THRESHOLDS = (0.72, 0.8, 0.85, 0.9)
+#: Raw headers that normalise to "" or to stop words only.
+_EMPTY_HEADERS = ("#", "%", "__", "---", " ")
+_STOP_WORD_HEADERS = ("the", "Of The", "no", "a_an", "DE-der")
 
 
 def _tables(corpus, limit=6):
@@ -54,6 +65,72 @@ def _unscreened_scores(matcher, header):
             if confidence > best.get(type_name, 0.0):
                 best[type_name] = confidence
     return best
+
+
+def _assert_screen_is_exact(screen, headers, threshold):
+    """The shared screen drops only pairs below *threshold*, sends to
+    Jaro–Winkler alone only pairs whose other two measures miss it, and
+    bounds a batch of headers as it bounds each one alone."""
+    rows, columns, full = screen.survivors(headers, threshold)
+    kept = dict(zip(zip(rows.tolist(), columns.tolist()), full.tolist(), strict=True))
+    for row, header in enumerate(headers):
+        _, alone, alone_full = screen.survivors([header], threshold)
+        assert dict(zip(alone.tolist(), alone_full.tolist(), strict=True)) == {
+            column: needs_full for (kept_row, column), needs_full in kept.items() if kept_row == row
+        }, header
+        for column, alias in enumerate(screen.aliases):
+            if (row, column) not in kept:
+                assert combined_similarity(header, alias) < threshold, (header, alias)
+            elif not kept[row, column]:
+                assert levenshtein_ratio(header, alias) < threshold, (header, alias)
+                assert token_set_ratio(header, alias) < threshold, (header, alias)
+
+
+def _unscreened_header_vote(function, name):
+    """HeaderMatchLF without the screen: the best similarity, thresholded."""
+    header = normalize_header(name)
+    if not header:
+        return 0.0
+    best = max(combined_similarity(header, candidate) for candidate in function.headers)
+    return best if best >= function.threshold else 0.0
+
+
+def _unscreened_cooccurrence_vote(function, column, table, column_index=None, neighbor_types=()):
+    """CoOccurrenceLF without the screen: every required type not among the
+    neighbour types matches another column's header at the threshold."""
+    for required in function.required_types:
+        if required in neighbor_types:
+            continue
+        text = required.replace("_", " ")
+        if not any(
+            index != column_index
+            and other is not column
+            and combined_similarity(other.name, text) >= function.header_threshold
+            for index, other in enumerate(table.columns)
+        ):
+            return 0.0
+    return 1.0
+
+
+@st.composite
+def _raw_headers(draw, candidates):
+    """Raw column names around *candidates*: near misses, styled like real
+    headers (``Snake_Case``, ``CamelCase``, upper case), plus names that
+    normalise to "" or to stop words only."""
+    kind = draw(st.sampled_from(("near", "near", "near", "empty", "stop", "text")))
+    if kind == "empty":
+        return draw(st.sampled_from(_EMPTY_HEADERS))
+    if kind == "stop":
+        return draw(st.sampled_from(_STOP_WORD_HEADERS))
+    if kind == "text":
+        return draw(st.text(string.ascii_letters + string.digits + " _-#", max_size=20))
+    header = draw(_near_alias_headers(candidates))
+    style = draw(st.sampled_from(("plain", "snake", "camel", "upper")))
+    if style == "snake":
+        return header.replace(" ", "_").title()
+    if style == "camel":
+        return "".join(token.capitalize() for token in header.split())
+    return header.upper() if style == "upper" else header
 
 
 @st.composite
@@ -195,13 +272,17 @@ class TestHeaderMatcherParity:
             "qty", "x", "foobarbaz", "latitude longitude", "user id",
         ]
         headers += list(matcher._alias_index)[:40]
+        normalized_headers = []
         for header in headers:
             normalized = normalize_header(header)
             if not normalized:
                 continue
+            normalized_headers.append(normalized)
             assert matcher._syntactic_scores(normalized) == _unscreened_scores(
                 matcher, normalized
             ), header
+        threshold = matcher.config.syntactic_threshold
+        _assert_screen_is_exact(matcher._alias_screen, normalized_headers, threshold)
 
     def test_alias_screen_is_exact_for_aliases_without_informative_tokens(self):
         """A stop-word-only alias has no tokens: its token-set ratio is 1 against
@@ -213,11 +294,14 @@ class TestHeaderMatcherParity:
             ]
         )
         matcher = HeaderMatcher(ontology)
-        for header in ("no", "the", "of the", "no x", "num", "number", "the city", "x"):
+        headers = ["no", "the", "of the", "no x", "num", "number", "the city", "x"]
+        for header in headers:
             assert matcher._syntactic_scores(header) == _unscreened_scores(
                 matcher, header
             ), header
         assert matcher._syntactic_scores("of the") == {"number": 1.0, "city": 1.0}
+        for threshold in _THRESHOLDS:
+            _assert_screen_is_exact(matcher._alias_screen, headers, threshold)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -230,7 +314,7 @@ class TestHeaderMatcherParity:
         assume(header)
         assert matcher._syntactic_scores(header) == _unscreened_scores(matcher, header)
         threshold = matcher.config.syntactic_threshold
-        survivors, needs_full = matcher._screen(header)
+        _, survivors, needs_full = matcher._alias_screen.survivors([header], threshold)
         for index, full in zip(survivors.tolist(), needs_full.tolist(), strict=True):
             if full:
                 continue
@@ -246,6 +330,98 @@ class TestHeaderMatcherParity:
             assert np.array_equal(row, np.asarray(matcher._type_embeddings[name]))
             norm = np.linalg.norm(row)
             assert norm == 0.0 or norm == pytest.approx(1.0)
+
+
+class TestLabelingFunctionScreenParity:
+    """HeaderMatchLF and CoOccurrenceLF score through the shared screen and
+    vote exactly as the unscreened formulas do."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_header_match_lf_equals_unscreened(self, syntactic_matcher, data):
+        aliases = [alias for alias, _ in syntactic_matcher._alias_entries]
+        candidates = data.draw(
+            st.lists(st.sampled_from(aliases) | _raw_headers(aliases), min_size=1, max_size=3),
+            label="candidates",
+        )
+        assume(any(normalize_header(candidate) for candidate in candidates))
+        threshold = data.draw(st.sampled_from(_THRESHOLDS), label="threshold")
+        function = HeaderMatchLF("target", candidates, threshold=threshold)
+        names = data.draw(st.lists(_raw_headers(function.headers), min_size=1, max_size=12), label="names")
+        columns = [(Column(name, ["x"]), None) for name in names]
+        expected = [_unscreened_header_vote(function, name) for name in names]
+        assert function.apply_many(columns) == expected
+        assert [function.apply(column) for column, _ in columns] == expected
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_cooccurrence_lf_equals_unscreened(self, syntactic_matcher, data):
+        type_names = [semantic_type.name for semantic_type in syntactic_matcher._candidate_types]
+        required = data.draw(
+            st.lists(
+                st.sampled_from(type_names) | st.sampled_from(("__", "the", "no_of", "of_the_id")),
+                min_size=1,
+                max_size=3,
+            ),
+            label="required",
+        )
+        threshold = data.draw(st.sampled_from(_THRESHOLDS), label="threshold")
+        function = CoOccurrenceLF("target", required, header_threshold=threshold)
+        texts = [name.replace("_", " ") for name in function.required_types]
+        tables = [
+            Table([Column(name, ["x"]) for name in names], name=f"t{index}")
+            for index, names in enumerate(
+                data.draw(
+                    st.lists(st.lists(_raw_headers(texts), min_size=1, max_size=6), min_size=1, max_size=3),
+                    label="tables",
+                )
+            )
+        ]
+        columns = [(column, table) for table in tables for column in table.columns]
+        columns.append((Column("loose", ["x"]), None))
+        assert function.apply_many(columns) == [
+            0.0 if table is None else _unscreened_cooccurrence_vote(function, column, table)
+            for column, table in columns
+        ]
+        known = frozenset(function.required_types[:1])
+        for table in tables:
+            for index, column in enumerate(table.columns):
+                for neighbor_types in (frozenset(), known):
+                    context = LFContext(table=table, column_index=index, neighbor_types=neighbor_types)
+                    assert function.apply(column, context) == _unscreened_cooccurrence_vote(
+                        function, column, table, index, neighbor_types
+                    )
+
+    def test_far_headers_are_never_scored(self, monkeypatch):
+        """Headers that share too little with every candidate are screened
+        out: the functions vote 0 without one similarity call."""
+        calls = []
+
+        def counting_similarity(first, second):
+            calls.append((first, second))
+            return combined_similarity(first, second)
+
+        monkeypatch.setattr(labeling_functions, "combined_similarity", counting_similarity)
+        table = Table(
+            [Column(name, ["x"]) for name in ("qty", "zzz", "Vx_7", "#", "the")], name="far"
+        )
+        columns = [(column, table) for column in table.columns]
+        header_rule = HeaderMatchLF("customer_id", ["customer identifier"])
+        co_occurrence = CoOccurrenceLF("salary", ["company", "job_title"])
+        assert header_rule.apply_many(columns) == [0.0] * len(columns)
+        assert co_occurrence.apply_many(columns) == [0.0] * len(columns)
+        assert calls == []
+
+    def test_screen_is_exact_at_float_ties(self):
+        """A bound that mathematically equals its measure may round an ulp
+        below it; the screen still counts it as reaching the threshold."""
+        # One substitution in three characters: levenshtein_ratio is
+        # 1 - 1/3 = 0.6666666666666667, its bound 2/3 = 0.6666666666666666.
+        threshold = levenshtein_ratio("abc", "abd")
+        assert 2 / 3 < threshold
+        _, columns, needs_full = HeaderScreen(["abd"]).survivors(["abc"], threshold)
+        assert columns.tolist() == [0]
+        assert needs_full.tolist() == [True]
 
 
 class TestEmbedderCaches:

@@ -108,6 +108,26 @@ class TestLFInference:
         range_lf = next(f for f in functions if isinstance(f, ValueRangeLF))
         assert range_lf.apply(fig3_table["Income"]) == 1.0
 
+    def test_punctuation_only_header_gets_no_header_rule(self, pretrained_typer):
+        """A header that normalises to "" has nothing to match: relabelling its
+        column infers every other rule, and no HeaderMatchLF (which rejects an
+        empty header)."""
+        table = Table.from_columns_dict(
+            {
+                "#": ["1001", "1002", "1003", "1004"],
+                "Name": ["Han Phi", "Thomas Do", "Alexis Nan", "Bo Chen"],
+                "Cities": ["New York", "Amsterdam", "Paris", "Berlin"],
+            },
+            name="hash-header",
+            semantic_types={"Name": "name", "Cities": "city"},
+        )
+        expected = {ValueRangeLF, MeanRangeLF, CoOccurrenceLF}
+        functions = infer_labeling_functions(table["#"], "customer_id", table=table)
+        assert {type(function) for function in functions} == expected
+        pretrained_typer.register_customer("hash-header-customer")
+        update = pretrained_typer.give_feedback("hash-header-customer", table, "#", "customer_id")
+        assert {type(function) for function in update.labeling_functions} == expected
+
 
 class TestLabelModels:
     def _functions(self):
