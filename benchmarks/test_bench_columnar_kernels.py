@@ -1,16 +1,17 @@
 """E15: block-native columnar kernels — vectorized profiling & featurization.
 
-Serving hands workers their shard as typed column blocks (E13); before this
-experiment the hot path still rebuilt Python values out of those buffers and
-profiled them one cell at a time.  The :mod:`repro.core.colblock` kernels run
-the same statistics as vectorized numpy passes directly over the block's
-tag/offset/blob arrays.  This experiment measures both paths on the *same*
-decoded blocks:
+Every shard converts its tables with :meth:`~repro.core.table.Table.to_block`
+where it runs, which gives each long column a typed tag/offset/blob view;
+the :mod:`repro.core.colblock` kernels then run the profiling statistics as
+vectorized numpy passes over those arrays instead of walking the cells one
+at a time.  This experiment measures both paths on the *same* generated
+corpus:
 
-* **rebuild path** — plain list-backed copies of the decoded tables, built
-  outside the timed region: the seed per-value profiler/featurizer runs;
-* **block-native path** — profiling and featurization read the transport
-  buffers through :class:`~repro.core.colblock.ColumnView`.
+* **rebuild path** — plain list-backed copies, built outside the timed
+  region: the seed per-value profiler/featurizer runs;
+* **block-native path** — fresh plain copies converted with ``to_block()``
+  inside the timed region (what every shard pays), then profiled and
+  featurized through their views (:class:`~repro.core.colblock.ColumnView`).
 
 Three properties are pinned:
 
@@ -46,7 +47,6 @@ from repro.core.table import Table
 from repro.corpus import GitTablesConfig, GitTablesGenerator
 from repro.evaluation import format_table
 from repro.profiler.statistics import profile_column
-from repro.serving import ColumnBlockCodec
 
 #: Machine-readable E15 results, committed at the repo root alongside the
 #: other benchmark artifacts so the kernel trajectory stays comparable.
@@ -80,20 +80,20 @@ CROSSOVER_REPEATS = 5
 
 
 @pytest.fixture(scope="module")
-def kernel_payload():
-    """The corpus, encoded once into the transport's column-block bytes."""
-    corpus = GitTablesGenerator(
-        GitTablesConfig(
-            num_tables=KERNEL_TABLES, seed=424242, min_rows=MIN_ROWS, max_rows=MAX_ROWS
-        )
-    ).generate_corpus()
-    return bytes(ColumnBlockCodec.encode_tables(list(corpus)))
+def kernel_corpus():
+    """The generated corpus; every pass works on fresh copies of it."""
+    return list(
+        GitTablesGenerator(
+            GitTablesConfig(
+                num_tables=KERNEL_TABLES, seed=424242, min_rows=MIN_ROWS, max_rows=MAX_ROWS
+            )
+        ).generate_corpus()
+    )
 
 
-def _decode_tables(payload: bytes) -> list[Table]:
-    """Fresh tables over a fresh block: cold memos, exactly as a worker sees."""
-    block = ColumnBlockCodec.decode(payload)
-    return [Table.from_block(block, index) for index in range(block.num_tables)]
+def _fresh(corpus: list[Table]) -> list[Table]:
+    """Plain list-backed copies: cold memos, no views."""
+    return [table.copy() for table in corpus]
 
 
 def _profile_and_featurize(tables: list[Table], featurizer) -> int:
@@ -107,14 +107,14 @@ def _profile_and_featurize(tables: list[Table], featurizer) -> int:
     return num_columns
 
 
-def _timed_pass(payload: bytes, featurizer, kernels: bool) -> tuple[float, int]:
-    tables = _decode_tables(payload)
-    if not kernels:
-        tables = [table.copy() for table in tables]
+def _timed_pass(corpus: list[Table], featurizer, kernels: bool) -> tuple[float, int]:
+    tables = _fresh(corpus)
     # Deterministic heap state: the previous pass's tables (and their
     # memoized profiles) are collected outside the timed region.
     gc.collect()
     started = time.perf_counter()
+    if kernels:
+        tables = [table.to_block() for table in tables]
     num_columns = _profile_and_featurize(tables, featurizer)
     return time.perf_counter() - started, num_columns
 
@@ -158,34 +158,33 @@ def _crossover(sigmatyper, monkeypatch) -> list[dict]:
     return rows
 
 
-def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, record_json, monkeypatch):
+def test_columnar_kernels(benchmark, sigmatyper, kernel_corpus, record_result, record_json, monkeypatch):
     featurizer = sigmatyper.global_model.classifier.featurizer
-    payload = kernel_payload
+    corpus = kernel_corpus
 
     colblock.reset_kernel_stats()
 
     # Warm the process-wide caches once per path so the timed passes compare
     # kernel arithmetic, not cache population.
-    _timed_pass(payload, featurizer, kernels=False)
-    _timed_pass(payload, featurizer, kernels=True)
+    _timed_pass(corpus, featurizer, kernels=False)
+    _timed_pass(corpus, featurizer, kernels=True)
 
     rebuild_seconds = float("inf")
     native_seconds = float("inf")
     num_columns = 0
     for _ in range(REPEATS):
         rebuild_seconds = min(
-            rebuild_seconds, _timed_pass(payload, featurizer, kernels=False)[0]
+            rebuild_seconds, _timed_pass(corpus, featurizer, kernels=False)[0]
         )
-        seconds, num_columns = _timed_pass(payload, featurizer, kernels=True)
+        seconds, num_columns = _timed_pass(corpus, featurizer, kernels=True)
         native_seconds = min(native_seconds, seconds)
     speedup = rebuild_seconds / native_seconds
 
-    # End-to-end parity: the full cascade over the same decoded blocks must
-    # produce bit-identical predictions on plain list-backed copies, which
-    # the pipeline reads per value.
-    plain = [table.copy() for table in _decode_tables(payload)]
-    reference = sigmatyper.global_model.pipeline.annotate_many(plain)
-    native_predictions = sigmatyper.annotate_corpus(_decode_tables(payload))
+    # End-to-end parity: annotate_corpus (which converts with to_block())
+    # must produce predictions bit-identical to the pipeline reading plain
+    # list-backed copies per value.
+    reference = sigmatyper.global_model.pipeline.annotate_many(_fresh(corpus))
+    native_predictions = sigmatyper.annotate_corpus(_fresh(corpus))
     assert native_predictions == reference, (
         "block-native kernels diverged from the per-value path"
     )
@@ -261,8 +260,9 @@ def test_columnar_kernels(benchmark, sigmatyper, kernel_payload, record_result, 
     )
 
     # Representative operation for pytest-benchmark: the vectorized profile
-    # kernel over the largest column's view (pure function, no memo).
-    tables = _decode_tables(payload)
+    # kernel over the largest column's to_block() view (pure function, no
+    # memo).
+    tables = [table.to_block() for table in _fresh(corpus)]
     largest = max(
         (column for table in tables for column in table.columns),
         key=lambda column: len(column.values),

@@ -1,16 +1,17 @@
-"""E13: shard transport — pickle vs zero-copy shared memory.
+"""E13: shard transport — pickle bytes over the pool's pipe vs shared memory.
 
-The multiprocess backend's per-shard overhead is serialization: the classic
-path pickles whole tables out to the workers and whole prediction lists back.
-This experiment measures the :mod:`repro.serving.transport` replacement —
-shared-memory column blocks out, fixed-width prediction records back — against
-the explicit pickle baseline on the same corpus.
+The multiprocess backend pickles whole tables out to the workers and whole
+prediction lists back.  Both transports of :mod:`repro.serving.transport`
+carry those same pickle bytes: the pickle transport hands them to the worker
+pool's pipe, the shm transport writes them into one shared-memory segment
+per shard and leg and ships only a descriptor.  This experiment runs both on
+the same corpus.
 
 Three properties are pinned:
 
-* **bytes** — the shm transport ships at least **5× fewer pickled bytes per
-  shard** than the pickle transport (it ships descriptors; the payload
-  crosses in shared memory and is counted separately as ``shm_bytes``);
+* **bytes** — the shm transport ships at least **5× fewer bytes per shard**
+  over the pool's pipe than the pickle transport (it ships descriptors; the
+  shard pickle crosses in shared memory and is counted as ``shm_bytes``);
 * **parity** — both transports return predictions bit-identical to the
   serial path, with zero pickle fallbacks on this corpus;
 * **lifecycle** — every shared-memory segment created during the run is
@@ -19,8 +20,8 @@ Three properties are pinned:
   scans ``/dev/shm``).
 
 On machines with ≥ 4 usable CPUs the run additionally gates on the shm
-transport not being slower end-to-end than the pickle transport (the shard
-overhead it removes is serial time in the parent).  On the 1-CPU build
+transport not being slower end-to-end than the pickle transport (the pipe
+copy it removes is serial time in the parent).  On the 1-CPU build
 container that wall-clock comparison is physics-noise, so parity and the
 bytes accounting are the assertions there — canonical caveat in
 ``docs/SERVING.md``.
@@ -148,7 +149,7 @@ def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result,
         print(f"LEAKED SEGMENT {name}")
     assert not leaked, f"shared-memory segments leaked: {leaked}"
 
-    # Fidelity: this corpus must ride the block codec, never the fallback.
+    # Fidelity: this corpus must ride shared memory, never the fallback.
     assert shm_stats.pickle_fallbacks == 0
 
     # The acceptance bar: ≥ 5× fewer pickled bytes per shard.
@@ -197,9 +198,8 @@ def test_shard_transport(benchmark, sigmatyper, transport_corpus, record_result,
         },
     )
 
-    # Representative operation for pytest-benchmark: flattening one shard of
-    # tables into a column block (the parent-side cost the shm path adds).
-    from repro.serving import ColumnBlockCodec
-
+    # Representative operation for pytest-benchmark: writing one shard into
+    # a segment and unlinking it again (the parent-side cost of the shm path).
+    transport = ShmTransport()
     shard = tables[: max(1, len(tables) // WORKERS)]
-    benchmark(ColumnBlockCodec.encode_tables, shard)
+    benchmark(lambda: transport.release(transport.encode_shard(shard)))

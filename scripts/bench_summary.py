@@ -36,7 +36,7 @@ OUTPUT_PATH = REPO_ROOT / "docs" / "BENCHMARKS.md"
 EXPERIMENTS = {
     "E10_cascade_latency": ("PR 1", "confidence-gated cascade vs exhaustive pipeline"),
     "E11_serving_throughput": ("PR 2", "execution backends sharding a corpus by table"),
-    "E13_shard_transport": ("PR 5", "zero-copy shm column blocks vs pickled shards"),
+    "E13_shard_transport": ("PR 5", "pickled shards through shm segments vs the pool's pipe"),
     "E14_frontend_slo": ("PR 6", "HTTP front end under overload (shedding + SLO degrade)"),
     "E15_columnar_kernels": ("PR 7", "block-native vectorized profiling & featurization"),
     "E17_pool_routing": ("PR 10", "worker pool: least-loaded routing, kill drill"),
@@ -83,7 +83,7 @@ def _headline(experiment: str, data: dict) -> str:
         return (
             f"predictions bit-identical to serial on both transports, "
             f"{len(data['leaked_segments'])} leaked segments (gate: shm ships "
-            f">= {data['bytes_ratio_bar']:g}x fewer result bytes per shard than pickle)"
+            f">= {data['bytes_ratio_bar']:g}x fewer pipe bytes per shard than pickle)"
         )
     if experiment == "E14_frontend_slo":
         unloaded = data["phases"]["unloaded"]

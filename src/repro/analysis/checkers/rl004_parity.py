@@ -4,7 +4,7 @@ The parity contract (docs/ARCHITECTURE.md): every execution shape — serial,
 multiprocess, pickle/shm transports, pool, kernel views or per-value — produces
 bit-identical predictions.  That contract dies the moment an unseeded RNG,
 a wall-clock value, a PYTHONHASHSEED-dependent ``hash()``, or a set
-iteration order can reach a result or a codec byte layout.
+iteration order can reach a result.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ Flags nondeterminism sources in production code:
     (sorted/len/sum/min/max/any/all) are fine.
 
 Why: the parity contract says serial == multiprocess == +shm == pool,
-bit-identical.  Per-column memos, codec byte layouts, and the E10-E17
+bit-identical.  Per-column memos, kernel views, and the E10-E17
 parity gates all assume it.  Legitimate
 process-local uses (e.g. os.urandom in a shm segment NAME that never
 reaches results) carry a suppression naming that fact.
@@ -119,7 +119,7 @@ reaches results) carry a suppression naming that fact.
                 module,
                 node,
                 f"{name}() is nondeterministic — its value must never reach "
-                "results or codec byte layouts",
+                "results",
             )
         elif name == "hash":
             func = enclosing_function(module, node)

@@ -1,17 +1,14 @@
 """Block-native columnar kernels over the typed value/offset/tag layout.
 
-PR 5's shard transport (:mod:`repro.serving.transport`) already lays every
-column out as three contiguous buffers — one tag byte per cell, ``n+1`` u64
-byte offsets, and a packed value blob — but workers then rebuilt Python
-objects and the profiler/featurizer walked them cell by cell.  This module
-flips that: the typed block becomes the system's *native* columnar
-representation, and the hot path (null/distinct counting, numeric moments,
+:meth:`repro.core.table.Table.to_block` lays each long column out as three
+contiguous buffers — one tag byte per cell, ``n+1`` byte offsets, and a
+packed value blob (:func:`view_from_values`) — and the profiling and
+featurization hot path (null/distinct counting, numeric moments,
 text-length statistics, character-class composition, the ``"Aa+9+"``
 template, structural type inference, sampling) runs as vectorized numpy
-kernels directly over the buffers.
+kernels over those buffers instead of walking Python objects cell by cell.
 
-Layout (shared with ``ColumnBlockCodec``; the tag constants below are the
-canonical definition, re-exported by the transport):
+Layout:
 
 - ``tags``: one byte per cell (``TAG_NONE`` .. ``TAG_FALSE``).
 - ``offsets``: ``n+1`` monotonically increasing byte offsets into ``blob``;
@@ -42,7 +39,7 @@ Two families are kernelized:
 
 The module deliberately imports nothing above :mod:`repro.core` at module
 level (the profiler symbols it needs for constructing results are imported
-lazily) so that ``table.py`` and the transport can both import it.
+lazily) so that ``table.py`` can import it.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ __all__ = [
     "TAG_FALSE",
     "ColumnView",
     "view_from_values",
-    "view_from_block_buffers",
     "kernel_profile",
     "kernel_data_type",
     "kernel_non_null_indices",
@@ -86,8 +82,7 @@ __all__ = [
 
 # --------------------------------------------------------------------- layout
 
-#: Cell tag values.  Canonical here; ``repro.serving.transport`` re-exports
-#: them so the wire format and the kernels can never drift apart.
+#: Cell tag values.
 TAG_NONE = 0
 TAG_STR = 1
 TAG_I64 = 2
@@ -270,13 +265,9 @@ def reset_kernel_stats() -> None:
 
 
 class ColumnView:
-    """Owned, aligned copies of one column's tag/offset/blob buffers.
+    """One column's tag/offset/blob buffers, built by :func:`view_from_values`.
 
-    The constructor arrays must already be private copies (the factory
-    functions below guarantee it): the view must survive the shared-memory
-    segment it was read from being closed, and u64 offsets inside a segment
-    are not 8-byte aligned in general.  ``blob`` carries ``_BLOB_PAD`` zero
-    guard bytes past the payload.
+    ``blob`` carries ``_BLOB_PAD`` zero guard bytes past the payload.
     """
 
     __slots__ = ("tags", "offsets", "blob", "_analysis")
@@ -300,7 +291,7 @@ class ColumnView:
         return self._analysis
 
     def decode(self, index: int) -> object:
-        """Decode one cell to its Python value (mirrors ``BlockValues``)."""
+        """Decode one cell to its Python value."""
 
         tag = int(self.tags[index])
         if tag == TAG_NONE:
@@ -330,6 +321,10 @@ def _pad_blob(raw: bytes) -> np.ndarray:
     return blob
 
 
+#: Cell types of the text fast path in :func:`view_from_values`.
+_TEXT_TAGS = {str: TAG_STR, type(None): TAG_NONE}
+
+
 def view_from_values(values: Sequence[object]) -> ColumnView | None:
     """Encode a Python value sequence into a :class:`ColumnView`.
 
@@ -338,18 +333,20 @@ def view_from_values(values: Sequence[object]) -> ColumnView | None:
     """
 
     n = len(values)
-    # Fast path: every cell is a str (the overwhelmingly common CSV shape).
+    # Fast path: every cell is a str or None (the common CSV shape) and the
+    # text is ASCII, so character counts are byte offsets; a null gets an
+    # empty blob slice.
     try:
-        joined = "".join(values)  # type: ignore[arg-type]
-    except TypeError:
-        joined = None
-    if joined is not None and joined.isascii():
-        lengths = np.fromiter((len(v) for v in values), dtype=np.int64, count=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return ColumnView(
-            np.full(n, TAG_STR, dtype=np.uint8), offsets, _pad_blob(joined.encode("ascii"))
-        )
+        tags = np.fromiter(map(_TEXT_TAGS.__getitem__, map(type, values)), dtype=np.uint8, count=n)
+    except KeyError:
+        tags = None
+    if tags is not None:
+        texts = [value or "" for value in values]
+        joined = "".join(texts)
+        if joined.isascii():
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=n), out=offsets[1:])
+            return ColumnView(tags, offsets, _pad_blob(joined.encode("ascii")))
 
     tags = np.empty(n, dtype=np.uint8)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -385,28 +382,6 @@ def view_from_values(values: Sequence[object]) -> ColumnView | None:
                 return None
         offsets[index + 1] = position
     return ColumnView(tags, offsets, _pad_blob(b"".join(chunks)))
-
-
-def view_from_block_buffers(
-    buf, count: int, tags_off: int, offsets_off: int, blob_off: int
-) -> ColumnView:
-    """Copy one column's buffers out of an encoded block (bytes/memoryview).
-
-    The copies are what let the view outlive the shared-memory segment: no
-    numpy export is kept on *buf* once this returns.
-    """
-
-    base = np.frombuffer(buf, dtype=np.uint8)
-    tags = np.array(base[tags_off: tags_off + count], dtype=np.uint8)
-    offset_bytes = np.array(
-        base[offsets_off: offsets_off + 8 * (count + 1)], dtype=np.uint8
-    )
-    offsets = offset_bytes.view("<u8").astype(np.int64)
-    blob_len = int(offsets[-1])
-    blob = np.zeros(blob_len + _BLOB_PAD, dtype=np.uint8)
-    if blob_len:
-        blob[:blob_len] = base[blob_off: blob_off + blob_len]
-    return ColumnView(tags, offsets, blob)
 
 
 # ------------------------------------------------------------------ analysis

@@ -243,9 +243,9 @@ class SigmaTyper:
         :class:`~repro.serving.backends.ExecutionBackend` instance) forks
         workers; every backend returns predictions identical to the serial
         path.  The multiprocess spec may also name a shard transport —
-        ``"multiprocess:4+shm"`` ships shards as zero-copy shared-memory
-        column blocks instead of pickle (see :mod:`repro.serving.transport`),
-        again with bit-identical results.
+        ``"multiprocess:4+shm"`` moves each shard's pickle through shared
+        memory instead of the pool's pipe (see
+        :mod:`repro.serving.transport`), again with bit-identical results.
 
         Whatever the backend, each shard converts its own tables with
         :meth:`~repro.core.table.Table.to_block` where it runs — in-process

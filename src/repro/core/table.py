@@ -54,11 +54,9 @@ class Column:
     #: descriptive tuple; cleared as one unit by :meth:`invalidate_cache`.
     #: The cached lists are shared with callers and must not be mutated.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: Columnar kernel view over the block layout (``repro.core.colblock``).
-    #: ``None`` until resolved; ``_view_checked`` records that resolution ran
-    #: so columns without a usable view don't retry on every access.
+    #: Columnar kernel view over the block layout (``repro.core.colblock``),
+    #: attached by :meth:`Table.to_block`; ``None`` on plain columns.
     _block_view: object = field(default=None, init=False, repr=False, compare=False)
-    _view_checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = list(self.values)
@@ -70,29 +68,15 @@ class Column:
         return iter(self.values)
 
     def _kernel_view(self):
-        """The column's block-layout kernel view, or ``None``.
-
-        Views arrive one of two ways: attached explicitly by
-        :meth:`Table.to_block` / :meth:`from_view`, or duck-typed off the
-        values sequence (``values.kernel_view()`` — the shm transport's
-        ``BlockValues`` provides it, so multiprocess workers profile straight
-        off the received segment).  Resolution runs once per column; a
-        ``None`` result is remembered.
-        """
-        if self._block_view is None and not self._view_checked:
-            self._view_checked = True
-            maker = getattr(self.values, "kernel_view", None)
-            if maker is not None:
-                self._block_view = maker()
+        """The kernel view :meth:`Table.to_block` attached, or ``None``."""
         return self._block_view
 
     def __getstate__(self) -> dict:
         # Kernel views are derived numpy state: dropping them keeps pickles
-        # (and the transport's bytes accounting) exactly as small as before,
-        # and the receiving process re-resolves views on demand.
+        # (and the transport's bytes accounting) free of them, and each shard
+        # builds its own with Table.to_block() where it runs.
         state = dict(self.__dict__)
         state["_block_view"] = None
-        state["_view_checked"] = False
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -119,7 +103,6 @@ class Column:
         self._data_type = None
         self._derived.clear()
         self._block_view = None
-        self._view_checked = False
 
     def _memo(self, key: object, compute: Callable[[], object]) -> object:
         """Return the cached value for *key*, computing it on first access."""
@@ -317,13 +300,9 @@ class Column:
     ) -> "Column":
         """Build a column over *values* without copying them into a list.
 
-        The zero-copy seam used by :meth:`Table.from_block`: *values* is kept
-        as-is (typically a lazy
-        :class:`~repro.serving.transport.BlockValues` view decoding cells out
-        of a shared-memory segment on access), bypassing the ``list(...)``
-        materialization of the normal constructor.  The view must be an
-        immutable sequence — in-place mutation plus
-        :meth:`invalidate_cache` is only supported for list-backed columns.
+        :meth:`Table.to_block` builds its twin columns this way: the twin
+        shares the source column's values list, bypassing the ``list(...)``
+        copy of the normal constructor, and carries *block_view*.
         """
         column = object.__new__(cls)
         column.name = name
@@ -332,10 +311,7 @@ class Column:
         column.metadata = metadata if metadata is not None else {}
         column._data_type = None
         column._derived = {}
-        # An explicit kernel view wins; otherwise resolution stays pending so
-        # `_kernel_view` can duck-type one off the values sequence.
         column._block_view = block_view
-        column._view_checked = block_view is not None
         return column
 
 
@@ -540,31 +516,6 @@ class Table:
             metadata=dict(payload.get("metadata", {})),  # type: ignore[arg-type]
         )
 
-    @classmethod
-    def from_block(cls, block, table_index: int) -> "Table":
-        """Zero-copy view of one table inside a decoded column block.
-
-        *block* is duck-typed (so the core never imports the serving layer):
-        it must expose ``table_name(i)``, ``table_metadata(i)``, and
-        ``table_columns(i)`` — the latter yielding
-        ``(name, semantic_type, metadata, values)`` per column, where
-        ``values`` is a lazy sequence over the block's buffer.  The shm shard
-        transport (:class:`repro.serving.transport.ColumnBlock`) is the
-        canonical implementation; workers rebuild their shard's tables this
-        way without unpickling a single cell.  The returned table is
-        read-only in the same sense as the view columns it wraps, and must
-        not outlive the block (``block.close()`` invalidates the views).
-        """
-        columns = [
-            Column.from_view(name, values, semantic_type=semantic_type, metadata=metadata)
-            for name, semantic_type, metadata, values in block.table_columns(table_index)
-        ]
-        return cls(
-            columns,
-            name=block.table_name(table_index),
-            metadata=block.table_metadata(table_index),
-        )
-
     def to_block(self) -> "Table":
         """Columnar twin of this table: same cell values, kernel views attached.
 
@@ -595,8 +546,8 @@ class Table:
             columns = []
             for column in self.columns:
                 view = None
-                # Columns that already resolve a view (built by :meth:`from_block`
-                # over a transport segment) are block-native as-is.
+                # Columns that already carry a view (a twin's own columns)
+                # are block-native as-is.
                 if len(column) >= colblock.MIN_KERNEL_ROWS and column._kernel_view() is None:
                     view = colblock.view_from_values(column.values)
                     if view is None:

@@ -204,7 +204,8 @@ def token_set_ratio(first: str, second: str) -> float:
     remaining_a = tokens_a - shared
     remaining_b = tokens_b - shared
     score = len(shared)
-    for token in remaining_a:
+    # Sorted, so the float sum does not depend on PYTHONHASHSEED's set order.
+    for token in sorted(remaining_a):
         best = max((levenshtein_ratio(token, other) for other in remaining_b), default=0.0)
         score += best if best >= TOKEN_MATCH_CUTOFF else 0.0
     denominator = max(len(tokens_a), len(tokens_b))

@@ -8,10 +8,10 @@ serve production traffic:
   table and fans bulk annotation (or pretraining featurization) out across
   workers, with results guaranteed identical to the serial path;
 * :mod:`repro.serving.transport` — the multiprocess backend's shard
-  :class:`Transport` seam: the ``pickle`` baseline, or zero-copy
-  shared-memory column blocks (``"multiprocess:4+shm"``) that ship tables
-  out and fixed-width prediction records back without serializing either,
-  with transparent pickle fallback and airtight segment lifecycle;
+  :class:`Transport` seam: shards and their predictions cross as pickle
+  bytes, over the worker pool's pipe (the ``pickle`` default) or through
+  shared-memory segments (``"multiprocess:4+shm"``) with an airtight
+  segment lifecycle;
 * :mod:`repro.serving.service` — an :class:`AnnotationService` wrapping a
   :class:`~repro.core.sigmatyper.SigmaTyper` with an asyncio request queue,
   per-customer routing, work-conserving micro-batching (it coalesces only
@@ -76,14 +76,10 @@ from repro.serving.stats import shared_sections
 from repro.serving.service import AnnotationService, ServiceStats
 from repro.serving.slo import SloConfig, SloController
 from repro.serving.transport import (
-    ColumnBlock,
-    ColumnBlockCodec,
     PickleTransport,
-    PredictionBlockCodec,
     ShmTransport,
     Transport,
     TransportStats,
-    UnsupportedPayloadError,
     resolve_transport,
     reset_transport_stats,
     transport_stats,
@@ -99,8 +95,6 @@ __all__ = [
     "Transport",
     "PickleTransport",
     "ShmTransport",
-    "ColumnBlockCodec",
-    "PredictionBlockCodec",
     "resolve_transport",
     "transport_stats",
     "reset_transport_stats",
@@ -113,8 +107,6 @@ __all__ = [
     "FrontendStats",
     "TokenBucket",
     "TransportStats",
-    "ColumnBlock",
-    "UnsupportedPayloadError",
     "AnnotationPool",
     "PoolStats",
     "BackendSpec",

@@ -14,10 +14,10 @@ There are two backends: ``serial`` runs in the calling thread, and
 ``multiprocess`` forks workers.  Forked workers inherit the (possibly very
 large) pretrained model and the shard function through copy-on-write memory
 instead of pickling them, so only the table shards and their predictions
-cross process boundaries.  *How* they cross is the backend's
-:class:`~repro.serving.transport.Transport` seam — the classic pickle
-round-trip, or zero-copy shared-memory column blocks
-(``"multiprocess:4+shm"``; see :mod:`repro.serving.transport`).  The
+cross process boundaries, as pickle bytes.  *How* those bytes travel is
+the backend's :class:`~repro.serving.transport.Transport` seam — over the
+pool's pipe, or through shared-memory segments (``"multiprocess:4+shm"``;
+see :mod:`repro.serving.transport`).  The
 ``fork`` start method is required: :class:`MultiprocessBackend` raises
 :class:`~repro.core.errors.ConfigurationError` where it is unavailable.
 

@@ -1,9 +1,8 @@
-"""Shared seeded data generators for codec / kernel / transport tests.
+"""Shared seeded data generators for kernel / transport / profiler tests.
 
 One canonical source for the "every supported cell type" table and for
-property-style randomized tables and predictions, so ``test_transport.py``
-and ``test_colblock_kernels.py`` fuzz the same value space instead of each
-maintaining an ad-hoc builder.  Everything is
+property-style randomized tables, so the suites fuzz the same value space
+instead of each maintaining an ad-hoc builder.  Everything is
 driven by an explicit ``random.Random`` so failures reproduce from the seed.
 """
 
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import random
 
-from repro.core.prediction import ColumnPrediction, TablePrediction, TypeScore
 from repro.core.table import Table
 
 #: Text pool crossing the kernel fast path's boundaries: ASCII, empty,
@@ -137,35 +135,3 @@ def mixed_table() -> Table:
     table.metadata["source"] = "unit"
     table.columns[0].metadata["note"] = ["nested", {"ok": True}]
     return table
-
-
-def random_prediction(rng: random.Random, table_name: str | None = None) -> TablePrediction:
-    """A random (but structurally valid) TablePrediction."""
-    steps = ["header_matching", "value_lookup", "table_embedding", "aggregation"]
-    types = ["salary", "city", "name", "company", "naïve-τ", ""]
-
-    def scores() -> list:
-        return [
-            TypeScore(rng.random(), rng.choice(types) or "unknown")
-            for _ in range(rng.randint(0, 3))
-        ]
-
-    columns = [
-        ColumnPrediction(
-            column_index=index,
-            column_name=rng.choice(["Income", "odd □ name", "城市", f"c{index}", ""]),
-            scores=scores(),
-            source_step=rng.choice(steps + [""]),
-            abstained=rng.random() < 0.3,
-            step_scores={
-                step: scores() for step in rng.sample(steps, rng.randint(0, len(steps)))
-            },
-        )
-        for index in range(rng.randint(0, 4))
-    ]
-    return TablePrediction(
-        table_name=table_name if table_name is not None else rng.choice(["t", "τ-table", ""]),
-        columns=columns,
-        step_trace={step: rng.randint(0, 9) for step in rng.sample(steps, rng.randint(0, 3))},
-        step_seconds={"header_matching": rng.random()} if rng.random() < 0.5 else {},
-    )

@@ -17,6 +17,7 @@ import random
 import string
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import colblock
@@ -24,7 +25,6 @@ from repro.core.colblock import kernel_character_template, view_from_values
 from repro.core.datatypes import parse_number
 from repro.core.table import Column, Table
 from repro.profiler.statistics import ColumnStatistics, character_template, profile_column
-from repro.serving import ColumnBlockCodec
 
 
 #: The row bound the program ships with, read before any test lowers it.
@@ -259,6 +259,37 @@ def test_view_rejects_out_of_vocabulary_cells():
     assert view_from_values(["fine", 1, None]) is not None
 
 
+def _reference_text_view(values):
+    """Per-cell encoding of a ``str``/``None`` column: a tag per cell, UTF-8
+    text, and an empty blob slice per null."""
+    tags = np.array(
+        [colblock.TAG_NONE if value is None else colblock.TAG_STR for value in values],
+        dtype=np.uint8,
+    )
+    chunks = [b"" if value is None else value.encode("utf-8", "surrogatepass") for value in values]
+    offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(chunk) for chunk in chunks], dtype=np.int64)
+    return tags, offsets, b"".join(chunks)
+
+
+def test_text_views_match_the_per_cell_encoding():
+    rng = random.Random(0x7E47)
+    pool = ["", " ", "a", "Berlin", "$ 1,234.50", "N/A", "null", "x" * 70, "12-34", "\t tab"]
+    columns = [
+        [None if rng.random() < 0.2 else rng.choice(pool) for _ in range(rng.randint(1, 300))]
+        for _ in range(200)
+    ]
+    columns += [[], [None] * 7, ["São Paulo", None, "Lima", "京都"], [None, "ascii", "naïve"]]
+    for values in columns:
+        view = view_from_values(values)
+        tags, offsets, blob = _reference_text_view(values)
+        assert view.tags.dtype == tags.dtype and np.array_equal(view.tags, tags), values
+        assert view.offsets.dtype == offsets.dtype and np.array_equal(view.offsets, offsets), values
+        assert view.blob[: view.blob_len].tobytes() == blob
+        assert not view.blob[view.blob_len:].any()
+        assert [view.decode(index) for index in range(len(values))] == values
+
+
 # ----------------------------------------------------------- to_block plumbing
 
 
@@ -341,11 +372,10 @@ def test_pickle_strips_kernel_views():
     reference = profile_column(twin.columns[0])
     clone = pickle.loads(pickle.dumps(twin.columns[0]))
     assert clone._block_view is None
-    assert clone._view_checked is False
     _assert_profiles_identical(reference, profile_column(clone))
 
 
-# -------------------------------------------------------- transport round-trip
+# ------------------------------------------------- views of mixed-type tables
 
 
 def test_transport_block_roundtrip_profile_parity():
@@ -361,13 +391,10 @@ def test_transport_block_roundtrip_profile_parity():
             name="roundtrip",
         )
     ]
-    payload = ColumnBlockCodec.encode_tables(tables)
-    assert payload is not None
-    block = ColumnBlockCodec.decode(bytes(payload))
-    decoded = Table.from_block(block, 0)
+    decoded = tables[0].to_block()
 
-    # Every column resolves a view straight off the transport buffers; the
-    # non-ASCII city column's *analysis* then refuses to run vectorized.
+    # Every column gets a view; the non-ASCII city column's *analysis* then
+    # refuses to run vectorized.
     assert all(c._kernel_view() is not None for c in decoded.columns)
 
     colblock.reset_kernel_stats()
@@ -401,9 +428,9 @@ def test_summary_reports_kernel_stats(pretrained_typer):
 
 
 def test_transport_block_fuzz_profile_parity():
-    """Seeded datagen fuzz: vectorized profiles over transport buffers match
-    the per-value python path for random tables over the full cell-type space
-    (the same generator the codec and net suites fuzz with).  Parity includes
+    """Seeded datagen fuzz: vectorized profiles over ``to_block()`` views
+    match the per-value python path for random tables over the full cell-type
+    space (the same generator the transport suite uses).  Parity includes
     failure parity: where the seed python path raises (stdlib ``statistics``
     rejects nan/inf), the kernel path must raise the same exception type
     rather than silently produce a number."""
@@ -412,10 +439,7 @@ def test_transport_block_fuzz_profile_parity():
     rng = random.Random(0xB10C)
     for trial in range(60):
         table = random_table(rng)
-        block = ColumnBlockCodec.decode(
-            bytes(ColumnBlockCodec.encode_tables([table]))
-        )
-        decoded = Table.from_block(block, 0)
+        decoded = table.to_block()
         for original, roundtripped in zip(table.columns, decoded.columns):
             try:
                 reference = _python_profile(original.values, name=original.name)
@@ -424,4 +448,3 @@ def test_transport_block_fuzz_profile_parity():
                     profile_column(roundtripped)
                 continue
             _assert_profiles_identical(reference, profile_column(roundtripped))
-        block.close()

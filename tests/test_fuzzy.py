@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.matching.fuzzy import (
     combined_similarity,
@@ -86,6 +93,28 @@ class TestTokenSetRatio:
 
     def test_disjoint_tokens(self):
         assert token_set_ratio("apple pie", "stock ticker") < 0.3
+
+    def test_last_bit_is_hashseed_independent(self):
+        """The unshared tokens' ratios are summed in one order whatever the
+        interpreter's hash seed; on this pair set order once moved the last
+        bit (0.8000000000000002 against 0.7999999999999999)."""
+        code = (
+            "from repro.matching.fuzzy import token_set_ratio; print(repr(token_set_ratio("
+            "'abcx efghx jklmnopqrstuvwxyzxyz', 'abcd efghi jklmnopqrstuvwxyzabc')))"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert len(outputs) == 1, outputs
 
 
 class TestCombinedSimilarity:

@@ -90,6 +90,13 @@ class TestColumn:
         assert restored.semantic_type == column.semantic_type
         assert restored.metadata == column.metadata
 
+    def test_from_view_skips_materialization(self):
+        view_values = ("a", "b")  # any immutable sequence
+        column = Column.from_view("c", view_values, semantic_type="city")
+        assert column.values is view_values
+        assert column.semantic_type == "city"
+        assert column.copy().values == ["a", "b"]
+
 
 class TestTable:
     def test_shape(self, sample_table):

@@ -1,4 +1,4 @@
-"""Zero-copy shard transport: codecs, lifecycle, fallback, and parity.
+"""Shard transports: lifecycle, fallback, and parity.
 
 Three contracts are pinned here:
 
@@ -6,42 +6,35 @@ Three contracts are pinned here:
   path inside it) returns predictions bit-identical to the serial path;
 * **lifecycle** — no ``/dev/shm`` segment survives a run, including runs
   where a forked worker crashed mid-shard or raised mid-annotation;
-* **fallback** — shards the block codec cannot represent (non-table items,
-  exotic cell values, oversized encodings) degrade to pickle transparently,
-  never to an error or a changed prediction.
+* **fallback** — any shard and any result pickle rides shared memory, cell
+  types intact; one larger than ``ShmTransport.MAX_SEGMENT_BYTES`` rides the
+  pool's pipe instead, never an error or a changed prediction.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import random
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from datagen import mixed_table, random_prediction, random_table
-from repro.core.errors import ConfigurationError, ServingError
+from datagen import mixed_table
+from repro.core.errors import ConfigurationError
 from repro.core.prediction import ColumnPrediction, TablePrediction, TypeScore
-from repro.core.table import Column, Table
+from repro.core.table import Table
 from repro.serving import (
-    ColumnBlockCodec,
     MultiprocessBackend,
     PickleTransport,
-    PredictionBlockCodec,
     ShmTransport,
     resolve_backend,
     resolve_transport,
     reset_transport_stats,
     transport_stats,
 )
-from repro.serving.transport import (
-    RESULT_SEGMENT_PREFIX,
-    SHARD_SEGMENT_PREFIX,
-    UnsupportedPayloadError,
-)
+from repro.serving.transport import RESULT_SEGMENT_PREFIX, SHARD_SEGMENT_PREFIX
 
 SHM_DIR = "/dev/shm"
 
@@ -77,126 +70,8 @@ def _typed_cells(column) -> tuple:
 
 
 # The canonical "every supported cell type" specimen lives in datagen so the
-# codec, kernel, and net-transport suites all fuzz the same value space.
+# transport and kernel suites share one value space.
 _mixed_table = mixed_table
-
-
-# ---------------------------------------------------------------- column block
-class TestColumnBlockCodec:
-    def test_roundtrip_preserves_values_types_and_boundaries(self):
-        tables = [_mixed_table(), Table.from_columns_dict({"City": ["Berlin", "Paris"]}, name="t2")]
-        block = ColumnBlockCodec.decode(memoryview(bytes(ColumnBlockCodec.encode_tables(tables))))
-        assert block.num_tables == 2
-        for index, original in enumerate(tables):
-            view = Table.from_block(block, index)
-            assert view.name == original.name
-            assert view.metadata == original.metadata
-            assert view.column_names == original.column_names
-            for view_column, original_column in zip(view.columns, original.columns):
-                assert view_column.semantic_type == original_column.semantic_type
-                assert view_column.metadata == original_column.metadata
-                decoded = list(view_column.values)
-                assert len(decoded) == len(original_column.values)
-                for got, expected in zip(decoded, original_column.values):
-                    assert type(got) is type(expected)
-                    if isinstance(expected, float) and expected != expected:
-                        assert got != got  # NaN round-trips
-                    else:
-                        assert got == expected
-
-    def test_view_columns_match_originals_cell_for_cell_and_type(self):
-        table = _mixed_table()
-        block = ColumnBlockCodec.decode(
-            memoryview(bytes(ColumnBlockCodec.encode_tables([table])))
-        )
-        view = Table.from_block(block, 0)
-        for view_column, original_column in zip(view.columns, table.columns):
-            assert _typed_cells(view_column) == _typed_cells(original_column)
-
-    def test_values_view_is_lazy_and_supports_sequence_protocol(self):
-        table = Table.from_columns_dict({"c": ["a", "b", "c", "d"]}, name="t")
-        block = ColumnBlockCodec.decode(
-            memoryview(bytes(ColumnBlockCodec.encode_tables([table])))
-        )
-        values = Table.from_block(block, 0).columns[0].values
-        assert len(values) == 4
-        assert values[1] == "b" and values[-1] == "d"
-        assert values[1:3] == ["b", "c"]
-        assert "c" in values and list(values) == ["a", "b", "c", "d"]
-        with pytest.raises(IndexError):
-            values[7]
-
-    def test_closed_block_raises_instead_of_reading_freed_memory(self):
-        table = Table.from_columns_dict({"c": ["x"]}, name="t")
-        block = ColumnBlockCodec.decode(
-            memoryview(bytes(ColumnBlockCodec.encode_tables([table])))
-        )
-        view = Table.from_block(block, 0)
-        block.close()
-        with pytest.raises(ServingError):
-            view.columns[0].values[0]
-
-    def test_unsupported_cell_type_raises_for_fallback(self):
-        table = Table.from_columns_dict({"c": [{"not": "scalar"}]}, name="t")
-        with pytest.raises(UnsupportedPayloadError):
-            ColumnBlockCodec.encode_tables([table])
-
-    def test_subclass_scalars_are_rejected_not_silently_downcast(self):
-        import numpy as np
-
-        table = Table.from_columns_dict({"c": [np.float64(1.5)]}, name="t")
-        with pytest.raises(UnsupportedPayloadError):
-            ColumnBlockCodec.encode_tables([table])
-
-    def test_from_view_skips_materialization(self):
-        view_values = ("a", "b")  # any immutable sequence
-        column = Column.from_view("c", view_values, semantic_type="city")
-        assert column.values is view_values
-        assert column.semantic_type == "city"
-        assert column.copy().values == ["a", "b"]
-
-
-# ----------------------------------------------------------- prediction records
-class TestPredictionBlockCodec:
-    def _prediction(self) -> TablePrediction:
-        return TablePrediction(
-            table_name="t",
-            columns=[
-                ColumnPrediction(
-                    column_index=0,
-                    column_name="Income",
-                    scores=[TypeScore(0.875, "salary"), TypeScore(0.25, "price")],
-                    source_step="header_matching",
-                    abstained=False,
-                    step_scores={
-                        "header_matching": [TypeScore(0.875, "salary")],
-                        "value_lookup": [],
-                    },
-                ),
-                ColumnPrediction(
-                    column_index=1,
-                    column_name="odd □ name",
-                    scores=[],
-                    source_step="",
-                    abstained=True,
-                ),
-            ],
-            step_trace={"header_matching": 2, "value_lookup": 1},
-            step_seconds={"header_matching": 0.125},
-        )
-
-    def test_roundtrip_is_exact(self):
-        prediction = self._prediction()
-        blob = PredictionBlockCodec.encode_predictions([prediction])
-        (decoded,) = PredictionBlockCodec.decode_predictions(memoryview(bytes(blob)))
-        assert decoded.table_name == prediction.table_name
-        assert decoded.step_trace == prediction.step_trace
-        assert decoded.step_seconds == prediction.step_seconds
-        assert decoded.columns == prediction.columns
-
-    def test_non_prediction_results_raise_for_fallback(self):
-        with pytest.raises(UnsupportedPayloadError):
-            PredictionBlockCodec.encode_predictions([{"not": "a prediction"}])
 
 
 # ------------------------------------------------------------------ spec seam
@@ -225,8 +100,6 @@ class TestTransportSpecs:
         assert resolve_transport("shm").name == "shm"
         transport = ShmTransport()
         assert resolve_transport(transport) is transport
-        with pytest.raises(ConfigurationError):
-            ShmTransport(max_segment_bytes=0)
 
 
 # ------------------------------------------------------------------- lifecycle
@@ -313,61 +186,78 @@ class TestLifecycle:
 
 
 # -------------------------------------------------------------------- fallback
+@pytest.fixture
+def segment_ceiling(monkeypatch):
+    """Set ``ShmTransport.MAX_SEGMENT_BYTES`` for one test."""
+    return lambda size: monkeypatch.setattr(ShmTransport, "MAX_SEGMENT_BYTES", size)
+
+
 class TestPickleFallback:
     def test_results_aliasing_input_views_survive_the_trip(self):
-        """A shard function may return the view-backed input tables
-        themselves; the escaping lazy views must be materialized, not shipped
-        as dead pointers into an unlinked segment."""
+        """A shard function may return its own input tables: they come back
+        whole, with every cell's exact type, and both legs ride shm."""
         transport = ShmTransport()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         tables = [_mixed_table().copy() for _ in range(4)]
         echoed = backend.map_shards(lambda shard: shard, tables)
-        assert transport.stats.pickle_fallbacks == 0  # shards rode shm
-        assert transport.stats.result_pickle_fallbacks == 2  # tables are not predictions
+        assert transport.stats.pickle_fallbacks == 0
+        assert transport.stats.result_pickle_fallbacks == 0
         for got, expected in zip(echoed, tables):
             assert got.name == expected.name
             for got_column, expected_column in zip(got.columns, expected.columns):
-                assert isinstance(got_column.values, list)  # views were materialized
+                assert isinstance(got_column.values, list)
                 assert _typed_cells(got_column) == _typed_cells(expected_column)
         assert _our_segments() == []
 
-    def test_non_table_items_fall_back(self):
+    def test_non_table_items_ride_shm(self):
         transport = ShmTransport()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         doubled = backend.map_shards(lambda shard: [2 * x for x in shard], list(range(10)))
         assert doubled == [2 * x for x in range(10)]
-        assert transport.stats.pickle_fallbacks == 2
-        # Integer results cannot ride the record codec either.
-        assert transport.stats.result_pickle_fallbacks == 2
-        assert transport.stats.segments_created == 0
+        assert transport.stats.pickle_fallbacks == 0
+        assert transport.stats.result_pickle_fallbacks == 0
+        # Two shard segments out, two result segments back, all unlinked.
+        assert transport.stats.segments_created == 4
+        assert transport.stats.segments_unlinked == 4
 
-    def test_unsupported_cell_values_fall_back(self):
+    def test_non_builtin_cells_ride_shm_bit_exactly(self):
+        import numpy as np
+
         transport = ShmTransport()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         tables = [
-            Table.from_columns_dict({"c": [("tuple", "cell")]}, name=f"t{i}") for i in range(4)
+            Table.from_columns_dict(
+                {"c": [np.float64(1.5), np.float64("nan"), ("tuple", "cell"), None]},
+                name=f"t{i}",
+            )
+            for i in range(4)
         ]
-        results = backend.map_shards(_shard_names, tables)
-        assert results == _shard_names(tables)
-        assert transport.stats.pickle_fallbacks == 2
+        # The worker reports each cell as it received it.
+        seen = backend.map_shards(lambda shard: [_typed_cells(t.columns[0]) for t in shard], tables)
+        assert seen == [_typed_cells(table.columns[0]) for table in tables]
+        assert [kind for kind, _ in seen[0][1]] == ["float64", "float64", "tuple", "NoneType"]
+        assert transport.stats.pickle_fallbacks == 0
+        assert transport.stats.result_pickle_fallbacks == 0
 
-    def test_oversized_shard_falls_back(self):
-        transport = ShmTransport(max_segment_bytes=64)
+    def test_oversized_shard_falls_back(self, segment_ceiling):
+        segment_ceiling(64)
+        transport = ShmTransport()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         tables = [_mixed_table().copy() for _ in range(4)]
         results = backend.map_shards(_shard_names, tables)
         assert results == _shard_names(tables)
         assert transport.stats.pickle_fallbacks == 2
-        assert "max_segment_bytes" in transport.stats.last_fallback_reason
+        assert "MAX_SEGMENT_BYTES" in transport.stats.last_fallback_reason
         assert transport.stats.segments_created == 0
         assert _our_segments() == []
 
-    def test_oversized_results_fall_back_while_shard_uses_shm(self):
-        """Shard fits the segment budget, results do not: the worker must
+    def test_oversized_results_fall_back_while_shard_uses_shm(self, segment_ceiling):
+        """Shard fits the segment ceiling, results do not: the worker must
         return pickled results rather than fail (per-leg fallback)."""
         small = Table.from_columns_dict({"c": ["x", "y"]}, name="t")
-        shard_size = len(ColumnBlockCodec.encode_tables([small, small]))
-        transport = ShmTransport(max_segment_bytes=shard_size)
+        shard = [small.copy(), small.copy()]
+        segment_ceiling(len(pickle.dumps(shard, pickle.HIGHEST_PROTOCOL)))
+        transport = ShmTransport()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
 
         def fat_predictions(shard):
@@ -436,8 +326,7 @@ class TestTransportParity:
         items = [_mixed_table()]
         payload = transport.encode_shard(items)
         assert transport.stats.bytes_shipped >= len(pickle.dumps(items, pickle.HIGHEST_PROTOCOL))
-        decoded, cleanup = transport.open_shard(payload)
-        cleanup()
+        decoded = transport.open_shard(payload)
         assert decoded[0].column_names == items[0].column_names
 
     def test_summary_reports_shard_transport_bytes(self, pretrained_typer, eval_corpus):
@@ -449,90 +338,23 @@ class TestTransportParity:
         assert summary["shard_transport"]["shm"]["bytes_shipped"] > 0
 
 
-# ------------------------------------------------------- property-style fuzz
-class TestCodecFuzz:
-    """Seeded 500-trial round-trip fuzz over the full supported value space.
-
-    ``datagen.random_table`` / ``random_prediction`` draw random tag mixes —
-    bigints, NaN/inf, non-ASCII and control characters, empty columns and
-    zero-row tables, nested metadata — and every trial must round-trip
-    bit-exactly through the block codecs.  Failures reproduce from the seed.
-    """
-
-    def test_column_block_roundtrip_500_random_tables(self):
-        rng = random.Random(0xC0DEC)
-        for trial in range(500):
-            table = random_table(rng)
-            blob = ColumnBlockCodec.encode_tables([table])
-            block = ColumnBlockCodec.decode(memoryview(bytes(blob)))
-            view = Table.from_block(block, 0)
-            context = f"trial {trial}, table {table.name!r}"
-            assert view.name == table.name, context
-            assert view.metadata == table.metadata, context
-            assert view.column_names == table.column_names, context
-            for view_column, original in zip(view.columns, table.columns):
-                assert view_column.semantic_type == original.semantic_type, context
-                assert view_column.metadata == original.metadata, context
-                decoded = list(view_column.values)
-                assert len(decoded) == len(original.values), context
-                for got, expected in zip(decoded, original.values):
-                    assert type(got) is type(expected), (context, got, expected)
-                    if isinstance(expected, float) and expected != expected:
-                        assert got != got, context
-                    else:
-                        assert got == expected, (context, got, expected)
-
-    def test_multi_table_shards_roundtrip(self):
-        rng = random.Random(0x5EED)
-        for trial in range(50):
-            tables = [random_table(rng) for _ in range(rng.randint(2, 5))]
-            block = ColumnBlockCodec.decode(
-                memoryview(bytes(ColumnBlockCodec.encode_tables(tables)))
-            )
-            assert block.num_tables == len(tables)
-            for index, original in enumerate(tables):
-                view = Table.from_block(block, index)
-                assert view.name == original.name
-                assert len(view.columns) == len(original.columns)
-                for view_column, original_column in zip(view.columns, original.columns):
-                    assert _typed_cells(view_column) == _typed_cells(original_column)
-
-    def test_prediction_block_roundtrip_500_random_predictions(self):
-        rng = random.Random(0xFACADE)
-        for trial in range(500):
-            prediction = random_prediction(rng)
-            blob = PredictionBlockCodec.encode_predictions([prediction])
-            (decoded,) = PredictionBlockCodec.decode_predictions(memoryview(bytes(blob)))
-            context = f"trial {trial}"
-            assert decoded.table_name == prediction.table_name, context
-            assert decoded.step_trace == prediction.step_trace, context
-            assert decoded.step_seconds == prediction.step_seconds, context
-            assert len(decoded.columns) == len(prediction.columns), context
-            for got, expected in zip(decoded.columns, prediction.columns):
-                assert got.column_index == expected.column_index, context
-                assert got.column_name == expected.column_name, context
-                assert got.source_step == expected.source_step, context
-                assert got.abstained == expected.abstained, context
-                assert got.scores == expected.scores, context
-                assert got.step_scores == expected.step_scores, context
-
-
 # ---------------------------------------------------------- stats aggregation
 class TestTransportStatsAggregation:
     """The process-wide aggregate sums counters per transport name as they
     are counted: re-resolving an in-use transport must never double count,
     and retired instances must not lose their history."""
 
-    def test_re_resolving_an_in_use_transport_counts_once(self):
+    def test_re_resolving_an_in_use_transport_counts_once(self, segment_ceiling):
         # Regression: the name-keyed delta aggregate double counted when a
         # transport was re-resolved mid-run (instance + aggregate both fed).
+        segment_ceiling(0)
         reset_transport_stats()
         transport = ShmTransport()
-        payload = transport.encode_shard(["not-a-table"])
+        payload = transport.encode_shard(["x"])
         transport.release(payload)
         assert resolve_transport(transport) is transport  # mid-run re-resolution
         resolve_transport(transport)
-        payload = transport.encode_shard(["still-not-a-table"])
+        payload = transport.encode_shard(["y"])
         transport.release(payload)
         aggregate = transport_stats()["shm"]
         assert transport.stats.shards == 2
@@ -547,12 +369,13 @@ class TestTransportStatsAggregation:
             transport.release(transport.encode_shard(["x"]))
         assert transport_stats()["pickle"]["shards"] == 2
 
-    def test_retired_instances_keep_their_counts(self):
+    def test_retired_instances_keep_their_counts(self, segment_ceiling):
         import gc
 
+        segment_ceiling(0)
         reset_transport_stats()
         transport = ShmTransport()
-        transport.release(transport.encode_shard(["not-a-table"]))
+        transport.release(transport.encode_shard(["x"]))
         del transport
         gc.collect()
         aggregate = transport_stats()["shm"]
@@ -561,11 +384,11 @@ class TestTransportStatsAggregation:
 
     def test_reset_zeroes_the_aggregate_but_not_instances(self):
         transport = ShmTransport()
-        transport.release(transport.encode_shard(["not-a-table"]))
+        transport.release(transport.encode_shard(["x"]))
         reset_transport_stats()
         assert "shm" not in transport_stats()
         assert transport.stats.shards == 1  # instance counters untouched
-        transport.release(transport.encode_shard(["again"]))
+        transport.release(transport.encode_shard(["y"]))
         assert transport_stats()["shm"]["shards"] == 1  # only post-reset delta
 
     def test_concurrent_counting_loses_no_update(self):
